@@ -1,6 +1,7 @@
 //! Microbenchmarks of the core data structures and substrates: the
-//! request index (the paper's list-vs-hash fix, measured directly), the
-//! XDR codec, and the simulation engine's primitives.
+//! request index (the paper's list-vs-hash fix, measured directly, from
+//! empty and in steady state), the XDR codec, and the simulation
+//! engine's primitives.
 
 use std::hint::black_box;
 
@@ -45,6 +46,34 @@ fn index_append(h: &mut Harness) {
             }
             idx.len()
         });
+    }
+}
+
+/// Steady-state churn of a sequential writer's index at a fixed depth:
+/// the oldest page completes, the next page is looked up (absent) and
+/// inserted. 57,344 pages is the paper client's peak index depth; 2,048
+/// is one fleet client's.
+fn index_churn(h: &mut Harness) {
+    h.group("request_index_churn");
+    for &n in &[2_048u64, 57_344] {
+        for (label, kind) in [
+            ("list", IndexKind::SortedList),
+            ("hash", IndexKind::HashTable),
+        ] {
+            let mut idx = RequestIndex::new(kind);
+            for page in 0..n {
+                idx.insert(NfsPageReq::new(page, 0, 4096, SimTime::ZERO));
+            }
+            let mut next = n;
+            h.bench(&format!("{label}/{n}"), || {
+                idx.remove(next - n).expect("oldest page indexed");
+                let l = idx.find(black_box(next));
+                assert!(l.found.is_none());
+                let walked = idx.insert(NfsPageReq::new(next, 0, 4096, SimTime::ZERO));
+                next += 1;
+                l.scanned + walked
+            });
+        }
     }
 }
 
@@ -106,6 +135,7 @@ fn main() {
     let mut h = Harness::from_env();
     index_lookup(&mut h);
     index_append(&mut h);
+    index_churn(&mut h);
     xdr_write3(&mut h);
     sim_engine(&mut h);
     h.finish();

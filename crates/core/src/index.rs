@@ -8,11 +8,16 @@
 //! hash table keyed by page offset makes the lookup O(1) at a cost of
 //! eight bytes per request and eight per inode.
 //!
-//! [`RequestIndex::find`] and friends return the number of list entries
-//! actually walked so the caller can charge honest CPU time; the walk is
-//! performed for real, not assumed.
+//! Both kinds share one page-ordered deque on the host.
+//! [`RequestIndex::find`] and [`RequestIndex::insert`] return the number
+//! of list entries the 2.4.4 walk visits so the caller can charge honest
+//! CPU time: walk lengths are derived from positions, not walked, and the
+//! charge is identical. The hash-table kind reports zero and is charged
+//! one hash operation. A sequential writer appends at the back and
+//! completes at the front, both O(1); other positions are found by
+//! binary search.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::request::NfsPageReq;
@@ -20,10 +25,10 @@ use crate::tuning::IndexKind;
 
 /// The index over one inode's outstanding requests.
 pub struct RequestIndex {
-    /// Requests ordered by page index (the 2.4 list; always maintained).
-    list: Vec<Rc<NfsPageReq>>,
-    /// The paper's supplementary hash table, present when enabled.
-    hash: Option<HashMap<u64, Rc<NfsPageReq>>>,
+    /// Requests ordered by page index.
+    list: VecDeque<Rc<NfsPageReq>>,
+    /// Which walk length the simulated client pays for.
+    kind: IndexKind,
 }
 
 /// Result of an index operation: what was found plus the walk length to
@@ -39,53 +44,55 @@ impl RequestIndex {
     /// Creates an empty index of the given kind.
     pub fn new(kind: IndexKind) -> RequestIndex {
         RequestIndex {
-            list: Vec::new(),
-            hash: match kind {
-                IndexKind::SortedList => None,
-                IndexKind::HashTable => Some(HashMap::new()),
-            },
+            list: VecDeque::new(),
+            kind,
         }
+    }
+
+    /// Position of the first request at or after `page_index`. Checks the
+    /// back first: a sequential writer's next page always lands there.
+    fn position(&self, page_index: u64) -> usize {
+        match self.list.back() {
+            Some(last) if last.page_index >= page_index => {
+                self.list.partition_point(|r| r.page_index < page_index)
+            }
+            _ => self.list.len(),
+        }
+    }
+
+    /// Entries `_nfs_find_request`'s walk visits to reach `pos`: every
+    /// smaller page, plus the one it stops on (if any). Zero for the
+    /// hash table.
+    fn walk_len(&self, pos: usize) -> usize {
+        match self.kind {
+            IndexKind::SortedList => pos + usize::from(pos < self.list.len()),
+            IndexKind::HashTable => 0,
+        }
+    }
+
+    /// The request at `pos` if it covers `page_index`.
+    fn at(&self, pos: usize, page_index: u64) -> Option<&Rc<NfsPageReq>> {
+        self.list.get(pos).filter(|r| r.page_index == page_index)
     }
 
     /// Looks up the request covering `page_index`.
     ///
     /// With the hash table this is one bucket probe; with the plain list
-    /// it walks entries in page order until it finds the page or proves
-    /// absence (passing the insertion point), exactly as
+    /// the walk visits entries in page order until it finds the page or
+    /// proves absence (passing the insertion point), exactly as
     /// `_nfs_find_request` does.
     pub fn find(&self, page_index: u64) -> Lookup {
-        if let Some(hash) = &self.hash {
-            return Lookup {
-                found: hash.get(&page_index).cloned(),
-                scanned: 0,
-            };
-        }
-        let mut scanned = 0;
-        for req in &self.list {
-            scanned += 1;
-            if req.page_index == page_index {
-                return Lookup {
-                    found: Some(Rc::clone(req)),
-                    scanned,
-                };
-            }
-            if req.page_index > page_index {
-                // Sorted: the page cannot appear later.
-                return Lookup {
-                    found: None,
-                    scanned,
-                };
-            }
-        }
+        let pos = self.position(page_index);
         Lookup {
-            found: None,
-            scanned,
+            found: self.at(pos, page_index).cloned(),
+            scanned: self.walk_len(pos),
         }
     }
 
     /// Inserts a new request, keeping the list sorted. Returns entries
     /// walked to find the insertion point (a sequential writer walks the
-    /// whole list every time — the Figure 3 pathology).
+    /// whole list every time — the Figure 3 pathology); zero with the
+    /// hash table.
     ///
     /// # Panics
     ///
@@ -93,46 +100,26 @@ impl RequestIndex {
     /// must [`RequestIndex::find`] first.
     pub fn insert(&mut self, req: Rc<NfsPageReq>) -> usize {
         let page = req.page_index;
-        if let Some(hash) = &mut self.hash {
-            let prev = hash.insert(page, Rc::clone(&req));
-            assert!(prev.is_none(), "duplicate request for page {page}");
-            // The supplementary list is still maintained (ordering is
-            // needed for coalescing), but with the hash present the walk
-            // is not charged: position is found from the end, where a
-            // sequential writer appends in O(1).
-            let pos = self.list.partition_point(|r| r.page_index < page);
-            self.list.insert(pos, req);
-            return 0;
-        }
-        let mut scanned = 0;
-        let mut pos = self.list.len();
-        for (i, r) in self.list.iter().enumerate() {
-            scanned += 1;
-            assert!(r.page_index != page, "duplicate request for page {page}");
-            if r.page_index > page {
-                pos = i;
-                break;
-            }
-        }
+        let pos = self.position(page);
+        assert!(
+            self.at(pos, page).is_none(),
+            "duplicate request for page {page}"
+        );
+        let scanned = self.walk_len(pos);
         self.list.insert(pos, req);
         scanned
     }
 
     /// Removes the request for `page_index` (on completion). Completion
     /// holds a pointer to the request in the real kernel, so removal is
-    /// O(1) and uncharged; the internal position search uses binary
-    /// search.
+    /// O(1) and uncharged.
     pub fn remove(&mut self, page_index: u64) -> Option<Rc<NfsPageReq>> {
-        if let Some(hash) = &mut self.hash {
-            hash.remove(&page_index);
-        }
-        match self
-            .list
-            .binary_search_by_key(&page_index, |r| r.page_index)
-        {
-            Ok(i) => Some(self.list.remove(i)),
-            Err(_) => None,
-        }
+        let pos = match self.list.front() {
+            Some(first) if first.page_index == page_index => 0,
+            _ => self.position(page_index),
+        };
+        self.at(pos, page_index)?;
+        self.list.remove(pos)
     }
 
     /// Number of indexed requests.
@@ -155,13 +142,12 @@ impl RequestIndex {
     /// shortcut only — simulated scan costs are charged by the caller
     /// independently of how the iteration is implemented.
     pub fn iter_from(&self, from: u64) -> impl Iterator<Item = &Rc<NfsPageReq>> {
-        let start = self.list.partition_point(|r| r.page_index < from);
-        self.list[start..].iter()
+        self.list.range(self.position(from)..)
     }
 
     /// Returns `true` if the hash table is active.
     pub fn has_hash(&self) -> bool {
-        self.hash.is_some()
+        self.kind == IndexKind::HashTable
     }
 }
 

@@ -219,7 +219,7 @@ pub fn run_bonnie(scenario: &Scenario, file_size: u64) -> RunOutput {
         nfsperf_bonnie::run(&s2, &file, &config).await
     });
 
-    RunOutput {
+    let out = RunOutput {
         report,
         mount_stats: mount.stats(),
         xprt_stats: mount.xprt().stats(),
@@ -235,7 +235,9 @@ pub fn run_bonnie(scenario: &Scenario, file_size: u64) -> RunOutput {
         hard_limit_pages: kernel.mem.hard_limit(),
         client_drops: cnic.drops(),
         tcp_stats: mount.xprt().tcp().map(|x| x.tcp_stats()),
-    }
+    };
+    sim.teardown();
+    out
 }
 
 /// Builds the scenario's world and runs an arbitrary workload closure
@@ -272,10 +274,12 @@ where
     );
     let mount = NfsMount::mount(&kernel, to_server, crx, scenario.mount.clone());
     let s2 = sim.clone();
-    sim.run_until(async move {
+    let report = sim.run_until(async move {
         let file = mount.create("custom.scratch").await.expect("create");
         workload(s2, file).await
-    })
+    });
+    sim.teardown();
+    report
 }
 
 /// Runs the benchmark against the local ext2 model (the Figure 1/7
@@ -300,10 +304,12 @@ pub fn run_local_with_ram(file_size: u64, ram_bytes: u64, record_latencies: bool
         ..BonnieConfig::new(file_size)
     };
     let s2 = sim.clone();
-    sim.run_until(async move {
+    let report = sim.run_until(async move {
         let file = fs.create("bonnie.scratch");
         nfsperf_bonnie::run(&s2, &file, &config).await
-    })
+    });
+    sim.teardown();
+    report
 }
 
 /// Convenience: run and return only write-phase throughput in MB/s.
@@ -367,6 +373,34 @@ mod tests {
             a.report.latencies, b.report.latencies,
             "CPU jitter should differ across seeds"
         );
+    }
+
+    #[test]
+    fn finished_worlds_drop_their_daemons() {
+        /// Sets its flag when dropped.
+        struct DropFlag(Rc<std::cell::Cell<bool>>);
+        impl Drop for DropFlag {
+            fn drop(&mut self) {
+                self.0.set(true);
+            }
+        }
+        let dropped = Rc::new(std::cell::Cell::new(false));
+        let flag = DropFlag(Rc::clone(&dropped));
+        let s = Scenario::new(ClientTuning::full_patch(), ServerKind::Filer);
+        let report = run_custom(&s, move |sim, file| async move {
+            // A daemon that never returns and holds the world: without
+            // teardown this is an `Rc` cycle that outlives the run.
+            let s2 = sim.clone();
+            sim.spawn(async move {
+                let _flag = flag;
+                loop {
+                    s2.sleep(nfsperf_sim::SimDuration::from_millis(1)).await;
+                }
+            });
+            nfsperf_bonnie::run(&sim, &file, &BonnieConfig::new(64 << 10)).await
+        });
+        assert_eq!(report.file_size, 64 << 10);
+        assert!(dropped.get(), "the daemon outlived its world");
     }
 
     #[test]

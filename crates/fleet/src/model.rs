@@ -194,6 +194,7 @@ pub fn calibrate(config: &CalibrationConfig) -> Calibration {
 
     let stats = mount.stats();
     let events = cnic.tx_events();
+    sim.teardown();
     // WRITE calls are the only datagrams whose payload exceeds the 8 KB
     // write unit; everything else (CREATE, COMMIT) is header-sized.
     let writes: Vec<(nfsperf_sim::SimTime, usize)> = events

@@ -349,9 +349,9 @@ impl SimCore {
     /// Credits events retired since the last flush to the thread running
     /// this world, so the sweep runner can report per-cell events/sec
     /// without threading a counter through every experiment. Called when
-    /// `run_until` returns — worlds whose daemon tasks hold `Rc` cycles
-    /// back to the core may never drop, so crediting cannot wait for
-    /// `Drop` alone.
+    /// `run_until` returns — a world whose daemon tasks still hold `Rc`
+    /// cycles back to the core drops only after [`Sim::teardown`], so
+    /// crediting cannot wait for `Drop` alone.
     fn flush_events_to_profiler(&self) {
         let total = self.events.get();
         profile::note_sim_events(total - self.events_credited.get());
@@ -591,6 +591,45 @@ impl Sim {
                 );
             }
         }
+    }
+
+    /// Ends the world: drops every task (finished or parked forever),
+    /// every registered event handler and every pending timer.
+    ///
+    /// Daemon tasks and handlers capture `Rc`s to the world they run in
+    /// (mounts, kernels, servers — each holding a [`Sim`]), so a world
+    /// left alone after `run_until` returns is a reference cycle and
+    /// never frees its memory. Calling this once the results have been
+    /// read breaks every such cycle; the world is reclaimed when the
+    /// caller's own handles drop.
+    ///
+    /// Each structure is moved out of its cell and dropped outside any
+    /// borrow, because dropping a parked future (a wait-queue entry, a
+    /// lock guard, a semaphore permit) may call back into the core. The
+    /// simulator stays usable: a later [`Sim::run_until`] starts from an
+    /// empty task table and ready queue at the current clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called from inside a task.
+    pub fn teardown(&self) {
+        assert_eq!(self.core.polling.get(), 0, "teardown from inside a task");
+        let tasks = std::mem::take(&mut *self.core.tasks.borrow_mut());
+        self.core.free_head.set(NO_SLOT);
+        let handlers: Vec<_> = self
+            .core
+            .event_handlers
+            .borrow_mut()
+            .iter_mut()
+            .map(Option::take)
+            .collect();
+        let timers = std::mem::take(&mut *self.core.timers.borrow_mut());
+        drop(tasks);
+        drop(handlers);
+        drop(timers);
+        // Wakes queued so far (including any the drops above fired) name
+        // slots a later run would reuse for new tasks.
+        while self.core.ready.pop().is_some() {}
     }
 
     /// Polls every woken task — and dispatches every fired slab event —
@@ -1022,6 +1061,69 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// Sets its flag when dropped.
+    struct DropFlag(Rc<Cell<bool>>);
+
+    impl Drop for DropFlag {
+        fn drop(&mut self) {
+            self.0.set(true);
+        }
+    }
+
+    #[test]
+    fn teardown_reclaims_a_world_held_by_cycles() {
+        let sim = Sim::new();
+        let flags: Vec<Rc<Cell<bool>>> = (0..3).map(|_| Rc::new(Cell::new(false))).collect();
+        let lock = Rc::new(crate::sync::SimLock::new(&sim));
+        // A never-ending daemon that holds the lock, parked on a timer.
+        let (s, l, flag) = (
+            sim.clone(),
+            Rc::clone(&lock),
+            DropFlag(Rc::clone(&flags[0])),
+        );
+        sim.spawn(async move {
+            let _flag = flag;
+            let _guard = l.lock("daemon").await;
+            loop {
+                s.sleep(SimDuration::from_millis(1)).await;
+            }
+        });
+        // A second daemon parked behind it on the lock.
+        let (s, l, flag) = (
+            sim.clone(),
+            Rc::clone(&lock),
+            DropFlag(Rc::clone(&flags[1])),
+        );
+        sim.spawn(async move {
+            let _flag = flag;
+            let _guard = l.lock("waiter").await;
+            drop(s);
+        });
+        // An event handler capturing the world, with an event still armed.
+        let (s, flag) = (sim.clone(), DropFlag(Rc::clone(&flags[2])));
+        let h = sim.register_event_handler(Rc::new(move |_| {
+            let _ = (&s, &flag);
+        }));
+        sim.schedule_event(SimTime(1_000_000_000), h, 0);
+        let s = sim.clone();
+        sim.run_until(async move { s.sleep(SimDuration::from_millis(10)).await });
+        assert!(
+            flags.iter().all(|f| !f.get()),
+            "cycles keep the world alive"
+        );
+
+        sim.teardown();
+        assert!(
+            flags.iter().all(|f| f.get()),
+            "teardown drops tasks and handlers"
+        );
+        assert_eq!(sim.live_tasks(), 0);
+        assert_eq!(sim.run_until(async { 7 }), 7, "the simulator runs again");
+        let core = Rc::downgrade(&sim.core);
+        drop((sim, lock));
+        assert!(core.upgrade().is_none(), "the core itself is freed");
+    }
 
     #[test]
     fn clock_starts_at_zero() {

@@ -22,6 +22,13 @@ echo "==> zero-alloc steady state smoke (counting global allocator, release)"
 # exercises the same codegen as the benchmarks.
 cargo test -q --release --offline -p nfsperf-fleet --test zero_alloc
 
+echo "==> host-time benchmark tests (perfbench, release)"
+# The benchmark package has its own workspace. Its tests drive every
+# workload at smoke size through the CLI, including the mirror world
+# that must reproduce each call's simulated figures bit for bit and the
+# per-seed conservation checks.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> quickstart smoke run"
 out="$(cargo run -q --release --offline --example quickstart)"
 echo "$out"

@@ -97,3 +97,62 @@ fn seed_changes_jitter_but_not_shape() {
         "throughput comparable: {ta:.1} vs {tb:.1}"
     );
 }
+
+/// Exact simulated output of a 20 MiB Bonnie run under each request-index
+/// kind, recorded before the index's host-side data structure last
+/// changed. The index may be reimplemented freely on the host, but the
+/// walk lengths it reports — and so every charged nanosecond — must not
+/// move: any drift here means the model changed, not just its speed.
+#[test]
+fn index_kinds_pin_exact_bonnie_output() {
+    struct Pin {
+        tuning: ClientTuning,
+        write_mbps_bits: u64,
+        close_mbps_bits: u64,
+        write_rpcs: u64,
+        /// `nfs_find_request`, `nfs_update_request`, `nfs_scan_list` ns.
+        profile_ns: [u64; 3],
+    }
+    let pins = [
+        Pin {
+            tuning: ClientTuning::no_flush(),
+            write_mbps_bits: 4634097407684115002,
+            close_mbps_bits: 4628997710359422820,
+            write_rpcs: 2564,
+            profile_ns: [50138060, 62929005, 25922510],
+        },
+        Pin {
+            tuning: ClientTuning::hash_table(),
+            write_mbps_bits: 4636278442081881054,
+            close_mbps_bits: 4628997710359422820,
+            write_rpcs: 2564,
+            profile_ns: [1536000, 14321759, 769200],
+        },
+    ];
+    for pin in pins {
+        let run = run_bonnie(&Scenario::new(pin.tuning, ServerKind::Filer), 20 << 20);
+        let profile_ns = ["nfs_find_request", "nfs_update_request", "nfs_scan_list"].map(|label| {
+            run.profile
+                .iter()
+                .find(|row| row.label == label)
+                .map_or(0, |row| row.time.0)
+        });
+        let got = (
+            run.report.write_mbps().to_bits(),
+            run.report.close_mbps().to_bits(),
+            run.mount_stats.write_rpcs,
+            profile_ns,
+        );
+        assert_eq!(
+            got,
+            (
+                pin.write_mbps_bits,
+                pin.close_mbps_bits,
+                pin.write_rpcs,
+                pin.profile_ns
+            ),
+            "index kind {:?}: simulated output moved",
+            pin.tuning.index
+        );
+    }
+}

@@ -344,6 +344,78 @@ fn index_kinds_are_observationally_equal() {
     );
 }
 
+/// The 2.4.4 `_nfs_find_request` walk done literally over a sorted page
+/// list: the position it stops at and the entries it visited.
+fn literal_walk(pages: &[u64], page: u64) -> (usize, usize) {
+    let mut scanned = 0;
+    for (i, &p) in pages.iter().enumerate() {
+        scanned += 1;
+        if p >= page {
+            return (i, scanned);
+        }
+    }
+    (pages.len(), scanned)
+}
+
+#[test]
+fn index_matches_the_literal_list_walk() {
+    // Ops: 0 insert, 1 find, 2 remove, 3 iter_from, 4 sequential append.
+    check(
+        "index_matches_the_literal_list_walk",
+        |g| {
+            (
+                g.any_bool(),
+                g.vec(1, 200, |g| (g.u8_in(0, 5), g.u64_in(0, 48))),
+            )
+        },
+        |(hash, ops): &(bool, Vec<(u8, u64)>)| {
+            let kind = if *hash {
+                IndexKind::HashTable
+            } else {
+                IndexKind::SortedList
+            };
+            let charged = |walked: usize| if *hash { 0 } else { walked };
+            let mut idx = RequestIndex::new(kind);
+            let mut model: Vec<u64> = Vec::new();
+            for &(op, page) in ops {
+                let page = if op == 4 {
+                    model.last().map_or(0, |p| p + 1)
+                } else {
+                    page
+                };
+                let (pos, walked) = literal_walk(&model, page);
+                let present = model.get(pos) == Some(&page);
+                match op {
+                    0 | 4 if !present => {
+                        let got = idx.insert(NfsPageReq::new(page, 0, PAGE_SIZE, SimTime::ZERO));
+                        prop_assert_eq!(got, charged(walked));
+                        model.insert(pos, page);
+                    }
+                    1 => {
+                        let l = idx.find(page);
+                        prop_assert_eq!(l.found.map(|r| r.page_index), present.then_some(page));
+                        prop_assert_eq!(l.scanned, charged(walked));
+                    }
+                    2 => {
+                        let got = idx.remove(page).map(|r| r.page_index);
+                        let want = present.then(|| model.remove(pos));
+                        prop_assert_eq!(got, want);
+                    }
+                    3 => {
+                        let got: Vec<u64> = idx.iter_from(page).map(|r| r.page_index).collect();
+                        prop_assert_eq!(got, model[pos..].to_vec());
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(idx.len(), model.len());
+                let order: Vec<u64> = idx.iter().map(|r| r.page_index).collect();
+                prop_assert_eq!(order, model.clone());
+            }
+            CaseOutcome::Pass
+        },
+    );
+}
+
 // ---------------------------------------------------------------------
 // Histogram invariants.
 // ---------------------------------------------------------------------
