@@ -3,14 +3,16 @@
 //! Per client the tier keeps one [`FlyClient`] record (~64 bytes: an RNG
 //! cursor, an emission clock, three virtual NIC clocks, two timestamps,
 //! two counters) — no pages, no flushd, no per-request locks, no NIC or
-//! mount objects. Each RPC is a short-lived task chain: sleep to the
-//! calibrated emission time, traverse the real aggregation and core
-//! uplinks (queueing behind every other client, faithful ones included),
-//! drain through the per-client server-port clock, run the server's
-//! flyweight service path (real slots, NVRAM, checkpoints, dirty cache),
-//! then unwind the reply the same way. Completion refills the client's
-//! outstanding-RPC window, which emits the next requests — so the tier's
-//! live-task count tracks in-flight RPCs, not client count.
+//! mount objects. Each in-flight RPC is one [`FlyRpc`] slab record
+//! advanced by timed events straight off the executor's wheel (no
+//! future, no task): wait for the calibrated emission time, traverse the
+//! real aggregation and core uplinks (queueing behind every other
+//! client, faithful ones included), drain through the per-client
+//! server-port clock, run the server's flyweight service path (real
+//! slots, NVRAM, checkpoints, dirty cache), then unwind the reply the
+//! same way. Completion refills the client's outstanding-RPC window,
+//! which emits the next requests — so the record slab tracks in-flight
+//! RPCs, not client count.
 //!
 //! Per-client serialization that a real NIC would impose (receive drain
 //! at the server port, transmit of the reply, receive at the client) is
@@ -19,7 +21,7 @@
 //! sleep performs, without the object.
 
 use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::task::Waker;
 
 use nfsperf_net::{wire_bytes, Fabric, LaneAdmit, LinkDir, NicSpec};
@@ -59,19 +61,14 @@ struct FlyClient {
     completed: u32,
 }
 
-/// Which machinery advances each of the tier's RPCs.
+/// Which machinery advances each of the tier's RPCs. Only one engine
+/// remains; the type (and the `engine` fields that carry it) stays so
+/// that callers written against the former two-engine API, such as the
+/// host-time benchmark's mirror world, keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierEngine {
-    /// Two spawned tasks per RPC (the original engine): a request task
-    /// that sleeps, traverses, and drains, handing off to a service
-    /// task for the server wait and the reply unwind.
-    Tasks,
     /// One slab record per RPC advanced by timed events straight off the
     /// executor's wheel — no future, no task, no per-RPC allocation.
-    /// Every await point of the task engine maps to one event, and both
-    /// engines share the same fabric/server wait queues, so runs are
-    /// bit-identical (asserted in tests) while the steady state skips
-    /// all task machinery.
     Events,
 }
 
@@ -99,7 +96,8 @@ pub struct FlyTierConfig {
     /// Upper bound on the model's outstanding-RPC window (`u32::MAX` to
     /// take the calibrated window as-is).
     pub window_cap: u32,
-    /// Which machinery advances each RPC (events by default).
+    /// Which machinery advances each RPC; always
+    /// [`TierEngine::Events`] (see there for why the field remains).
     pub engine: TierEngine,
 }
 
@@ -138,9 +136,7 @@ pub struct FlyTierRun {
 }
 
 /// Resume point of one event-driven RPC: each variant names what the
-/// record does when its next event dispatches. Stages mirror the task
-/// engine's await points one-for-one, so both engines retire identical
-/// event counts in identical order.
+/// record does when its next event dispatches.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RpcStage {
     /// Waiting for the emission instant (`sleep_until(at)`).
@@ -157,7 +153,7 @@ enum RpcStage {
     CoreXfer,
     /// Fabric latency slept; drain into the server port.
     PortDrain,
-    /// Port drain slept; hand off to the service half.
+    /// Port drain slept; yield once before the server queue.
     HandOff,
     /// Driving the server's flyweight op to completion.
     Service,
@@ -178,10 +174,8 @@ enum RpcStage {
 }
 
 /// One in-flight event-driven RPC. Records live in a free-listed slab
-/// sized by peak concurrent RPCs — the per-RPC state the task engine
-/// kept in two spawned futures, without the futures. Transient like
-/// those futures were, so (like them) not part of the tier's resident
-/// per-client accounting.
+/// sized by peak concurrent RPCs. Transient, so not part of the tier's
+/// resident per-client accounting ([`FlyTier::bytes_per_client`]).
 struct FlyRpc {
     /// Owning client's tier index.
     idx: u32,
@@ -201,12 +195,6 @@ struct FlyRpc {
     lane: LaneAdmit,
     /// The server-side op, live from [`RpcStage::Service`] entry.
     srv: Option<FlyweightOp>,
-    /// Shadow task-table slot standing in for the task the old engine
-    /// would have spawned for the current half of this RPC (request,
-    /// then service). Keeps the executor's slot-recycling sequence —
-    /// and so the landing spot of any stale wake — identical across
-    /// engines, which keeps deterministic event counts bit-identical.
-    shadow: usize,
     /// Direct waker dispatching `step(record index)`, built once when
     /// the record first exists and reused by every park of every RPC
     /// that ever occupies it (the index never changes): parking is one
@@ -227,7 +215,6 @@ impl FlyRpc {
             emitted_at: SimTime::ZERO,
             lane: LaneAdmit::start(SimTime::ZERO),
             srv: None,
-            shadow: 0,
             waker: None,
         }
     }
@@ -240,7 +227,9 @@ struct RpcSlab {
 }
 
 /// A running flyweight tier. Create with [`FlyTier::launch`], then
-/// `await` [`FlyTier::wait_done`] inside the simulation.
+/// `await` [`FlyTier::wait_done`] inside the simulation. The returned
+/// handle is what keeps the tier alive: its event handler holds only a
+/// weak reference, so a tier dropped mid-run stops dispatching.
 pub struct FlyTier {
     sim: Sim,
     server: Rc<NfsServer>,
@@ -253,7 +242,7 @@ pub struct FlyTier {
     server_base: usize,
     slab: RefCell<Vec<FlyClient>>,
     rpcs: RefCell<RpcSlab>,
-    handler: Cell<EventHandlerId>,
+    handler: EventHandlerId,
     latencies: RefCell<Vec<SimDuration>>,
     lat_counter: Cell<u64>,
     clients_done: Cell<u32>,
@@ -298,7 +287,7 @@ impl FlyTier {
         assert!(total_ops > 0, "clients must emit at least one RPC");
         let finished = Gate::new();
         finished.close();
-        let tier = Rc::new(FlyTier {
+        let tier = Rc::new_cyclic(|tier: &Weak<FlyTier>| FlyTier {
             sim: sim.clone(),
             server: Rc::clone(server),
             fabric: Rc::clone(fabric),
@@ -313,17 +302,21 @@ impl FlyTier {
                 slots: Vec::new(),
                 free_head: u32::MAX,
             }),
-            handler: Cell::new(sim.register_event_handler(Rc::new(|_| {}))),
+            handler: {
+                // A weak back-reference: the handler table never keeps
+                // the tier alive.
+                let tier = Weak::clone(tier);
+                sim.register_event_handler(Rc::new(move |data| {
+                    if let Some(t) = tier.upgrade() {
+                        t.step(data as u32);
+                    }
+                }))
+            },
             latencies: RefCell::new(Vec::new()),
             lat_counter: Cell::new(0),
             clients_done: Cell::new(0),
             finished,
         });
-        if tier.config.engine == TierEngine::Events {
-            let t = Rc::clone(&tier);
-            tier.handler
-                .set(sim.register_event_handler(Rc::new(move |data| t.step(data as u32))));
-        }
         for i in 0..tier.config.clients {
             tier.try_emit(i);
         }
@@ -366,17 +359,8 @@ impl FlyTier {
                 c.emitted += 1;
                 (seq, at)
             };
-            match self.config.engine {
-                TierEngine::Tasks => self.spawn_request(idx, seq, SimTime(at)),
-                TierEngine::Events => {
-                    // ≙ `spawn_request`: the shadow claims the task-table
-                    // slot the request task would have, and the posted
-                    // event sits in the same ready-queue position.
-                    let r = self.alloc_rpc(idx, seq, SimTime(at));
-                    self.rpcs.borrow_mut().slots[r as usize].shadow = self.sim.spawn_shadow();
-                    self.sim.post_event(self.handler.get(), u64::from(r));
-                }
-            }
+            let r = self.alloc_rpc(idx, seq, SimTime(at));
+            self.sim.post_event(self.handler, u64::from(r));
         }
     }
 
@@ -389,7 +373,7 @@ impl FlyTier {
                 let mut slot = FlyRpc::vacant();
                 // Built once per record; the index (the waker's payload)
                 // never changes, so every later RPC in this slot reuses it.
-                slot.waker = Some(self.sim.direct_waker(self.handler.get(), r));
+                slot.waker = Some(self.sim.direct_waker(self.handler, r));
                 rpcs.slots.push(slot);
                 r
             }
@@ -414,14 +398,13 @@ impl FlyTier {
 
     /// Schedules RPC `data`'s next dispatch at `deadline` and returns
     /// `true`; returns `false` when the deadline is not in the future,
-    /// in which case the caller continues inline — exactly the task
-    /// engine's `Sleep`, which completes immediately without touching
-    /// the wheel when its deadline has passed.
+    /// in which case the caller continues inline without touching the
+    /// wheel.
     fn sleep_then(&self, deadline: SimTime, data: u64) -> bool {
         if deadline > self.sim.now() {
             // Stage hops are never cancelled, so the timer can carry the
             // dispatch itself — no slab slot, no ready-queue round trip.
-            self.sim.schedule_direct(deadline, self.handler.get(), data);
+            self.sim.schedule_direct(deadline, self.handler, data);
             true
         } else {
             false
@@ -429,13 +412,9 @@ impl FlyTier {
     }
 
     /// Advances one event-driven RPC until it parks in a wait queue,
-    /// schedules its next dispatch, or retires. One dispatch of this
-    /// handler corresponds to one poll of the task engine's request or
-    /// service task, and every wait parks in the same fabric/server
-    /// queues, so both engines interleave — and count events —
-    /// identically.
+    /// schedules its next dispatch, or retires.
     fn step(self: &Rc<Self>, r: u32) {
-        let h = self.handler.get();
+        let h = self.handler;
         let data = u64::from(r);
         let mut rpcs = self.rpcs.borrow_mut();
         let rpc = &mut rpcs.slots[r as usize];
@@ -517,17 +496,12 @@ impl FlyTier {
                     }
                 }
                 RpcStage::HandOff => {
-                    // ≙ `spawn_service`: the task engine hands the
-                    // (possibly long) server-queue wait to a fresh task;
-                    // mirror its ready-queue push with a posted event,
-                    // and swap shadows in the task engine's order —
-                    // service slot claimed first, request slot released
-                    // when its task returns.
+                    // Enter the server queue from a fresh dispatch, behind
+                    // everything already woken at this instant. That
+                    // order decides who the server serves first, so it
+                    // is part of the model, pinned by the goldens.
                     rpc.stage = RpcStage::Service;
-                    let service_shadow = self.sim.spawn_shadow();
                     self.sim.post_event(h, data);
-                    self.sim.drop_shadow(rpc.shadow);
-                    rpc.shadow = service_shadow;
                     return;
                 }
                 RpcStage::Service => {
@@ -627,83 +601,11 @@ impl FlyTier {
         // Free the record before completing: `try_emit` inside
         // `complete` may immediately reuse it for this client's next
         // emission, and `complete` must see the slab borrow released.
-        let (idx, seq, emitted_at, op, shadow) =
-            (rpc.idx, rpc.seq, rpc.emitted_at, rpc.op, rpc.shadow);
+        let (idx, seq, emitted_at, op) = (rpc.idx, rpc.seq, rpc.emitted_at, rpc.op);
         rpcs.slots[r as usize].next_free = rpcs.free_head;
         rpcs.free_head = r;
         drop(rpcs);
         self.complete(idx, seq, emitted_at, op);
-        // The service task's slot is recycled only after its final poll
-        // returned — i.e. after `complete` (and any emissions it
-        // spawned) ran.
-        self.sim.drop_shadow(shadow);
-    }
-
-    /// The request half of one RPC: wait for the emission instant, cross
-    /// the aggregation and core uplinks, propagate, drain into the
-    /// server port. Hands off to [`FlyTier::spawn_service`] so the
-    /// (possibly long) queue wait at the server does not keep this
-    /// larger future alive.
-    fn spawn_request(self: &Rc<Self>, idx: u32, seq: u32, at: SimTime) {
-        let tier = Rc::clone(self);
-        self.sim.clone().spawn(async move {
-            tier.sim.sleep_until(at).await;
-            let op = tier.model.op_at(seq, tier.config.writes_per_client);
-            let payload = match op {
-                FlyOp::Write => tier.model.write_wire_bytes,
-                FlyOp::Commit => tier.model.commit_wire_bytes,
-            };
-            let wire = wire_bytes(payload, tier.config.client_nic.mtu);
-            let flow = tier.fabric_base + idx;
-            let agg = tier.fabric.agg_of(flow);
-            agg.traverse(flow, LinkDir::ToServer, wire, payload).await;
-            drop(agg);
-            tier.fabric
-                .core()
-                .traverse(flow, LinkDir::ToServer, wire, payload)
-                .await;
-            tier.sim.sleep(tier.fabric.latency()).await;
-            let drained = tier.advance_clock(idx, ClockId::PortRx, tier.config.port_nic, wire);
-            tier.sim.sleep_until(drained).await;
-            tier.spawn_service(idx, seq, at, op);
-        });
-    }
-
-    /// The service-and-reply half: run the server's flyweight path, then
-    /// unwind the reply through the fabric back into the client.
-    fn spawn_service(self: &Rc<Self>, idx: u32, seq: u32, emitted_at: SimTime, op: FlyOp) {
-        let tier = Rc::clone(self);
-        self.sim.clone().spawn(async move {
-            let client = tier.server_base + idx as usize;
-            let reply_payload = match op {
-                FlyOp::Write => {
-                    tier.server
-                        .serve_flyweight_write(client, tier.model.write_payload)
-                        .await;
-                    WRITE_REPLY_BYTES
-                }
-                FlyOp::Commit => {
-                    tier.server.serve_flyweight_commit(client).await;
-                    COMMIT_REPLY_BYTES
-                }
-            };
-            let wire = wire_bytes(reply_payload, tier.config.port_nic.mtu);
-            let sent = tier.advance_clock(idx, ClockId::PortTx, tier.config.port_nic, wire);
-            tier.sim.sleep_until(sent).await;
-            let flow = tier.fabric_base + idx;
-            tier.fabric
-                .core()
-                .traverse(flow, LinkDir::ToClients, wire, reply_payload)
-                .await;
-            tier.fabric
-                .agg_of(flow)
-                .traverse(flow, LinkDir::ToClients, wire, reply_payload)
-                .await;
-            tier.sim.sleep(tier.fabric.latency()).await;
-            let drained = tier.advance_clock(idx, ClockId::CliRx, tier.config.client_nic, wire);
-            tier.sim.sleep_until(drained).await;
-            tier.complete(idx, seq, emitted_at, op);
-        });
     }
 
     /// Advances one of a client's virtual NIC clocks by `spec`'s
@@ -742,10 +644,8 @@ impl FlyTier {
             self.clients_done.set(self.clients_done.get() + 1);
             if self.clients_done.get() == self.config.clients {
                 self.finished.open();
-                // No RPC can arm another event now: break the
-                // handler → tier reference cycle so the tier frees when
-                // its caller drops it.
-                self.sim.clear_event_handler(self.handler.get());
+                // No RPC can arm another event now: retire the handler.
+                self.sim.clear_event_handler(self.handler);
             }
         } else {
             self.try_emit(idx);
@@ -815,7 +715,7 @@ mod tests {
     use super::*;
     use crate::model::GAP_QUANTILES;
     use nfsperf_net::FabricConfig;
-    use nfsperf_server::ServerConfig;
+    use nfsperf_server::{ServerConfig, ServerStats, SlimTierStats};
 
     fn toy_model() -> BehaviorModel {
         BehaviorModel {
@@ -828,11 +728,7 @@ mod tests {
         }
     }
 
-    fn run_tier_with(
-        clients: u32,
-        writes: u32,
-        engine: TierEngine,
-    ) -> (Rc<FlyTier>, Rc<NfsServer>, Sim) {
+    fn run_tier_with_sim(clients: u32, writes: u32) -> (Rc<FlyTier>, Rc<NfsServer>, Sim) {
         let sim = Sim::new();
         let server_nic = NicSpec::gigabit();
         let fabric = Rc::new(Fabric::new(&sim, FabricConfig::new(server_nic)));
@@ -842,10 +738,7 @@ mod tests {
             &server,
             &fabric,
             toy_model(),
-            FlyTierConfig {
-                engine,
-                ..FlyTierConfig::new(clients, writes, server_nic)
-            },
+            FlyTierConfig::new(clients, writes, server_nic),
         );
         let t2 = Rc::clone(&tier);
         sim.run_until(async move { t2.wait_done().await });
@@ -853,8 +746,19 @@ mod tests {
     }
 
     fn run_tier(clients: u32, writes: u32) -> (Rc<FlyTier>, Rc<NfsServer>) {
-        let (tier, server, _) = run_tier_with(clients, writes, TierEngine::Events);
+        let (tier, server, _) = run_tier_with_sim(clients, writes);
         (tier, server)
+    }
+
+    /// FNV-1a over each value's `f64` bit pattern, in order: pins a whole
+    /// per-client throughput vector in one word.
+    fn fingerprint(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3))
+        })
     }
 
     #[test]
@@ -874,27 +778,86 @@ mod tests {
         assert!(server.per_client_stats().is_empty());
     }
 
-    /// The taskless event engine must be observationally identical to
-    /// the two-task-per-RPC engine it replaces: same per-client
-    /// throughputs, same elapsed virtual time, same latency digest,
-    /// same server counters — and the same *event count*, since every
-    /// task poll maps one-for-one onto a slab-event dispatch (the
-    /// megafleet CSV records `sim.events()`, so byte-identity of
-    /// committed results rides on this).
+    /// Exact simulated output of the toy tier at three sizes, recorded
+    /// when the tier still carried a second, task-based engine that it
+    /// had to match bit for bit. The engine may be reworked freely on
+    /// the host, but per-client throughput (fingerprinted bit for bit),
+    /// elapsed time, the latency digest, the final clock and the server
+    /// counters must not move.
     #[test]
-    fn event_and_task_engines_are_bit_identical() {
-        for (clients, writes) in [(1, 3), (32, 4), (128, 8)] {
-            let (ta, sa, ma) = run_tier_with(clients, writes, TierEngine::Tasks);
-            let (te, se, me) = run_tier_with(clients, writes, TierEngine::Events);
-            assert_eq!(ta.per_client_mbps(), te.per_client_mbps());
-            assert_eq!(ta.elapsed(), te.elapsed());
-            assert_eq!(ta.rpc_latency(), te.rpc_latency());
-            assert_eq!(sa.slim_stats(), se.slim_stats());
-            assert_eq!(ma.now(), me.now());
+    fn tier_output_is_pinned() {
+        struct Pin {
+            clients: u32,
+            writes: u32,
+            mbps_fingerprint: u64,
+            elapsed_ns: u64,
+            /// RPC latency p50, p99, p99.9, ns.
+            latency_ns: [u64; 3],
+            now_ns: u64,
+        }
+        let pins = [
+            Pin {
+                clients: 1,
+                writes: 3,
+                mbps_fingerprint: 323229278687299612,
+                elapsed_ns: 1958987,
+                latency_ns: [404303, 404303, 404303],
+                now_ns: 1959277,
+            },
+            Pin {
+                clients: 32,
+                writes: 4,
+                mbps_fingerprint: 3338732403927593091,
+                elapsed_ns: 24101024,
+                latency_ns: [10746990, 20582630, 20595960],
+                now_ns: 24109747,
+            },
+            Pin {
+                clients: 128,
+                writes: 8,
+                mbps_fingerprint: 17911139459452182681,
+                elapsed_ns: 186115488,
+                latency_ns: [88443534, 90385408, 90385408],
+                now_ns: 186115489,
+            },
+        ];
+        for pin in pins {
+            let (tier, server, sim) = run_tier_with_sim(pin.clients, pin.writes);
+            let d = tier.rpc_latency();
             assert_eq!(
-                ma.events(),
-                me.events(),
-                "event-count parity broke at {clients} clients x {writes} writes"
+                (
+                    fingerprint(&tier.per_client_mbps()),
+                    tier.elapsed().0,
+                    [d.p50.0, d.p99.0, d.p999.0],
+                    sim.now().as_nanos(),
+                ),
+                (pin.mbps_fingerprint, pin.elapsed_ns, pin.latency_ns, pin.now_ns),
+                "{} clients x {} writes: simulated output moved",
+                pin.clients,
+                pin.writes
+            );
+            let (clients, writes) = (u64::from(pin.clients), u64::from(pin.writes));
+            let ops = clients * (writes + 1);
+            assert_eq!(
+                server.slim_stats(),
+                SlimTierStats {
+                    clients,
+                    ops,
+                    writes: clients * writes,
+                    write_bytes: clients * writes * 8192,
+                    commits: clients,
+                }
+            );
+            assert_eq!(
+                server.stats(),
+                ServerStats {
+                    ops,
+                    writes: clients * writes,
+                    write_bytes: clients * writes * 8192,
+                    commits: clients,
+                    checkpoints: 0,
+                    inline_flushes: 0,
+                }
             );
         }
     }
@@ -915,6 +878,13 @@ mod tests {
             std::mem::size_of::<FlyClient>() <= 72,
             "FlyClient grew to {} bytes",
             std::mem::size_of::<FlyClient>()
+        );
+        // Not resident per client, but one per in-flight RPC: at a
+        // million clients the launch burst holds a million of them.
+        assert!(
+            std::mem::size_of::<FlyRpc>() <= 216,
+            "FlyRpc grew to {} bytes",
+            std::mem::size_of::<FlyRpc>()
         );
         let (tier, _server) = run_tier(10_000, 2);
         let per = tier.bytes_per_client();

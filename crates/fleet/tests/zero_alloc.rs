@@ -92,7 +92,7 @@ fn steady_state_flyweight_rpc_allocates_nothing() {
 
     const MS: u64 = 1_000_000;
     // Warmup: ~1400 writes at the model's ~425 µs mean gap. Grows the
-    // RPC slab, shadow free list, timer heap, payload pool, wait-node
+    // RPC slab, event-slab free list, timer heap, payload pool, wait-node
     // pools, and the latency pool (capacity 2048 ≫ the ~240 more
     // samples the windows add) to their steady capacities — including
     // the `run_until` fixed path itself.

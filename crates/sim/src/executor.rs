@@ -164,13 +164,15 @@ static WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
     |_| {},
 );
 
-/// Backing data for one event slot's waker (see [`ScheduledEvent`]).
+/// Backing data for one event slot's waker (see [`ScheduledEvent`]),
+/// built the first time [`Sim::event_waker`] parks the slot.
 ///
-/// `gen` is refreshed every time the slot is armed, so waking pushes the
-/// generation current at arm time; a wake that races a completed or
-/// cancelled arm pushes a stale generation and is dropped at dispatch.
-/// The contract matches how every primitive in [`crate::sync`] behaves:
-/// each parked waker is woken at most once per arm.
+/// `gen` is refreshed every time the slot is armed once the data exists,
+/// so waking pushes the generation current at arm time; a wake that
+/// races a completed or cancelled arm pushes a stale generation and is
+/// dropped at dispatch. The contract matches how every primitive in
+/// [`crate::sync`] behaves: each parked waker is woken at most once per
+/// arm.
 ///
 /// SAFETY contract: identical to [`WakerData`] — single-threaded use,
 /// owned by the core, outlives every clone.
@@ -276,21 +278,19 @@ pub struct ScheduledEvent {
 
 /// A slot in the task table. The free list is intrusive — vacant slots
 /// link to the next free slot through the table itself, with the head in
-/// [`SimCore::free_head`] — so claiming and releasing a slot (which the
-/// flyweight tier does four times per RPC for its shadows) is one table
+/// [`SimCore::free_head`] — so claiming and releasing a slot is one table
 /// borrow, not a table borrow plus a side-vector borrow.
 enum TaskSlot {
     /// Free; `next` is the previously freed slot (`NO_SLOT` ends the
-    /// list). LIFO, exactly like the free vector it replaces, so slot
-    /// recycling order — observable through where stale wakes land — is
-    /// unchanged.
+    /// list). LIFO, so slot recycling order — observable through where
+    /// stale wakes land — is deterministic.
     Vacant { next: usize },
-    /// A shadow occupant: no future to run, but a wake that reaches it
-    /// still counts one retired event (see [`Sim::spawn_shadow`]).
-    Shadow,
     /// A live task; the future is `None` only while being polled.
     Task(Option<LocalFuture>),
 }
+
+/// Direct-waker records per [`SimCore::direct_waker_data`] chunk.
+const DIRECT_CHUNK: usize = 4096;
 
 /// Free-list terminator for [`TaskSlot::Vacant`].
 const NO_SLOT: usize = usize::MAX;
@@ -317,21 +317,22 @@ struct SimCore {
     /// The timed-event slab: generation-counted single-shot records
     /// dispatched straight off the ready queue with no future, no task
     /// slot and no per-event allocation. Slots are recycled through
-    /// `event_free`; each keeps a cached waker (over `event_waker_data`)
-    /// for timer registration and for parking in sync primitives.
+    /// `event_free`.
     event_slots: RefCell<Vec<EventSlot>>,
     event_free: RefCell<Vec<u32>>,
-    event_wakers: RefCell<Vec<Waker>>,
-    /// Boxed so the pointers baked into the event wakers stay stable as
-    /// the slab grows (same pattern as `waker_data`).
-    #[allow(clippy::vec_box)]
-    event_waker_data: RefCell<Vec<Box<EventWakerData>>>,
-    /// Backing store for direct wakers ([`Sim::direct_waker`]); append-
-    /// only so the pointers baked into the wakers stay stable. Sized by
-    /// the callers' own slab growth (one per flyweight RPC record), so
-    /// it stops growing when they do.
-    #[allow(clippy::vec_box)]
-    direct_waker_data: RefCell<Vec<Box<DirectWakerData>>>,
+    /// Waker data for the slots [`Sim::event_waker`] has parked, indexed
+    /// by slot and built on first use: slots that only ever dispatch off
+    /// timers or posts (all of them, at a million clients) cost nothing
+    /// here. Boxed so the pointers baked into the wakers stay stable as
+    /// the vector grows.
+    event_waker_data: RefCell<Vec<Option<Box<EventWakerData>>>>,
+    /// Backing store for direct wakers ([`Sim::direct_waker`]): chunks of
+    /// [`DIRECT_CHUNK`] records, each allocated at full capacity and
+    /// never grown past it, so a record never moves and the pointers
+    /// baked into the wakers stay stable — without one allocation per
+    /// record. Append-only, sized by the callers' own slab growth (one
+    /// per flyweight RPC record), so it stops growing when they do.
+    direct_waker_data: RefCell<Vec<Vec<DirectWakerData>>>,
     /// Registered dispatch targets; an event stores only an index here
     /// plus a `u64` payload, so dispatch is one dynamic call.
     event_handlers: RefCell<Vec<Option<EventHandlerFn>>>,
@@ -408,7 +409,6 @@ impl Sim {
                 free_head: Cell::new(NO_SLOT),
                 event_slots: RefCell::new(Vec::new()),
                 event_free: RefCell::new(Vec::new()),
-                event_wakers: RefCell::new(Vec::new()),
                 event_waker_data: RefCell::new(Vec::new()),
                 direct_waker_data: RefCell::new(Vec::new()),
                 event_handlers: RefCell::new(Vec::new()),
@@ -500,38 +500,6 @@ impl Sim {
     }
 
     fn insert_task(&self, fut: LocalFuture) -> TaskId {
-        self.insert_slot(TaskSlot::Task(Some(fut)))
-    }
-
-    /// Reserves a task-table slot with no future behind it.
-    ///
-    /// Taskless engines that replace spawned tasks one-for-one (the
-    /// flyweight tier) use a shadow per replaced task so the table's
-    /// slot-recycling sequence — and therefore which slot a *stale* wake
-    /// lands on — is identical to the task engine's. A wake that reaches
-    /// a live shadow retires one event, exactly as the spurious no-op
-    /// poll of the replaced task did; without shadows those wakes land
-    /// on free slots and the engines' deterministic event counts drift
-    /// apart under load. Release with [`Sim::drop_shadow`] at the point
-    /// the replaced task would have returned.
-    pub fn spawn_shadow(&self) -> TaskId {
-        self.insert_slot(TaskSlot::Shadow)
-    }
-
-    /// Frees a slot reserved by [`Sim::spawn_shadow`].
-    pub fn drop_shadow(&self, id: TaskId) {
-        let mut tasks = self.core.tasks.borrow_mut();
-        debug_assert!(
-            matches!(tasks.get(id), Some(TaskSlot::Shadow)),
-            "drop_shadow on a non-shadow slot {id}"
-        );
-        tasks[id] = TaskSlot::Vacant {
-            next: self.core.free_head.get(),
-        };
-        self.core.free_head.set(id);
-    }
-
-    fn insert_slot(&self, slot: TaskSlot) -> TaskId {
         let mut tasks = self.core.tasks.borrow_mut();
         let head = self.core.free_head.get();
         let id = if head != NO_SLOT {
@@ -539,10 +507,10 @@ impl Sim {
                 unreachable!("free-list head {head} not vacant");
             };
             self.core.free_head.set(next);
-            tasks[head] = slot;
+            tasks[head] = TaskSlot::Task(Some(fut));
             head
         } else {
-            tasks.push(slot);
+            tasks.push(TaskSlot::Task(Some(fut)));
             tasks.len() - 1
         };
         let mut wakers = self.core.wakers.borrow_mut();
@@ -730,15 +698,6 @@ impl Sim {
         let fut = {
             let mut tasks = self.core.tasks.borrow_mut();
             match tasks.get_mut(id) {
-                Some(TaskSlot::Shadow) => {
-                    // A stale wake reached a recycled slot that a
-                    // shadow now occupies: retire one event, exactly
-                    // as the spurious no-op poll of the task that
-                    // would have occupied this slot did.
-                    drop(tasks);
-                    self.core.events.set(self.core.events.get() + 1);
-                    return;
-                }
                 Some(TaskSlot::Task(fut)) => match fut.take() {
                     Some(f) => f,
                     // Already being polled or already finished: spurious wake.
@@ -795,34 +754,19 @@ impl Sim {
     }
 
     /// Claims a free event slot and arms it with `(handler, data)`,
-    /// refreshing the slot waker's generation snapshot.
+    /// refreshing the generation snapshot of the slot's waker if
+    /// [`Sim::event_waker`] ever built one.
     fn arm_event(&self, handler: EventHandlerId, data: u64) -> ScheduledEvent {
         let slot = match self.core.event_free.borrow_mut().pop() {
             Some(s) => s,
             None => {
                 let mut slots = self.core.event_slots.borrow_mut();
-                let slot = slots.len() as u32;
                 slots.push(EventSlot {
                     gen: Cell::new(0),
                     handler: Cell::new(0),
                     data: Cell::new(0),
                 });
-                let mut wakers = self.core.event_wakers.borrow_mut();
-                let mut waker_data = self.core.event_waker_data.borrow_mut();
-                let boxed = Box::new(EventWakerData {
-                    slot,
-                    gen: Cell::new(0),
-                    ready: Arc::as_ptr(&self.core.ready),
-                });
-                let raw = RawWaker::new(
-                    &*boxed as *const EventWakerData as *const (),
-                    &EVENT_WAKER_VTABLE,
-                );
-                waker_data.push(boxed);
-                // SAFETY: see `EventWakerData` — single-threaded use,
-                // data outlives every waker clone.
-                wakers.push(unsafe { Waker::from_raw(raw) });
-                slot
+                (slots.len() - 1) as u32
             }
         };
         let slots = self.core.event_slots.borrow();
@@ -830,9 +774,9 @@ impl Sim {
         let gen = s.gen.get();
         s.handler.set(handler.0);
         s.data.set(data);
-        self.core.event_waker_data.borrow()[slot as usize]
-            .gen
-            .set(gen);
+        if let Some(Some(d)) = self.core.event_waker_data.borrow().get(slot as usize) {
+            d.gen.set(gen);
+        }
         ScheduledEvent { slot, gen }
     }
 
@@ -890,10 +834,29 @@ impl Sim {
     /// primitive ([`crate::sync`]): when the primitive wakes it, the
     /// event dispatches. The waker must be woken at most once per arm
     /// (which every primitive in this crate guarantees).
+    ///
+    /// The slot's waker data is built on the slot's first park and kept
+    /// for every later arm of it.
     pub fn event_waker(&self, handler: EventHandlerId, data: u64) -> (ScheduledEvent, Waker) {
         let ev = self.arm_event(handler, data);
-        let waker = self.core.event_wakers.borrow()[ev.slot as usize].clone();
-        (ev, waker)
+        let mut all = self.core.event_waker_data.borrow_mut();
+        if all.len() <= ev.slot as usize {
+            all.resize_with(ev.slot as usize + 1, || None);
+        }
+        let d = all[ev.slot as usize].get_or_insert_with(|| {
+            Box::new(EventWakerData {
+                slot: ev.slot,
+                gen: Cell::new(ev.gen),
+                ready: Arc::as_ptr(&self.core.ready),
+            })
+        });
+        let raw = RawWaker::new(
+            &**d as *const EventWakerData as *const (),
+            &EVENT_WAKER_VTABLE,
+        );
+        // SAFETY: see `EventWakerData` — single-threaded use, data
+        // outlives every waker clone.
+        (ev, unsafe { Waker::from_raw(raw) })
     }
 
     /// Builds a reusable waker that dispatches `handler(data)` each time
@@ -906,21 +869,29 @@ impl Sim {
     ///
     /// Created once per caller-side slot: the backing store is append-
     /// only (it must outlive every clone), so callers cache the waker,
-    /// not recreate it per park.
+    /// not recreate it per park. Records are packed into fixed-capacity
+    /// chunks, so a million wakers cost a few hundred allocations.
     pub fn direct_waker(&self, handler: EventHandlerId, data: u32) -> Waker {
         assert!(
             handler.0 < DIRECT_HANDLER_MAX,
             "direct wakers carry 30-bit handler ids"
         );
-        let boxed = Box::new(DirectWakerData {
+        let mut chunks = self.core.direct_waker_data.borrow_mut();
+        if chunks.last().is_none_or(|c| c.len() == DIRECT_CHUNK) {
+            chunks.push(Vec::with_capacity(DIRECT_CHUNK));
+        }
+        let chunk = chunks.last_mut().expect("a chunk with room");
+        // Within capacity: the push never reallocates, so earlier
+        // records keep their addresses.
+        chunk.push(DirectWakerData {
             word: encode_direct(handler.0, data),
             ready: Arc::as_ptr(&self.core.ready),
         });
+        let d = chunk.last().expect("just pushed");
         let raw = RawWaker::new(
-            &*boxed as *const DirectWakerData as *const (),
+            d as *const DirectWakerData as *const (),
             &DIRECT_WAKER_VTABLE,
         );
-        self.core.direct_waker_data.borrow_mut().push(boxed);
         // SAFETY: see `DirectWakerData` — single-threaded use, data
         // outlives every waker clone.
         unsafe { Waker::from_raw(raw) }
@@ -1415,6 +1386,71 @@ mod tests {
         });
     }
 
+    /// Slot waker data is built lazily, on a slot's first park, so the
+    /// park may land on a slot that posts and timers already recycled —
+    /// and a slot once parked keeps its data through later timer and
+    /// park arms. Each arm must dispatch exactly once, with its own
+    /// payload.
+    #[test]
+    fn event_waker_on_a_recycled_slot_fires_once_with_its_own_payload() {
+        let sim = Sim::new();
+        let (h, log) = logging_handler(&sim);
+        let s = sim.clone();
+        sim.run_until(async move {
+            let posted = s.post_event(h, 1);
+            yield_now().await;
+            let timed = s.schedule_event(s.now() + SimDuration::from_nanos(10), h, 2);
+            assert_eq!(timed.slot, posted.slot, "free list reuses the slot");
+            s.sleep(SimDuration::from_nanos(20)).await;
+
+            let (parked, waker) = s.event_waker(h, 3);
+            assert_eq!(parked.slot, posted.slot);
+            s.sleep(SimDuration::from_nanos(5)).await;
+            waker.wake_by_ref();
+            yield_now().await;
+            // The arm already dispatched: a second wake carries its
+            // spent generation and is dropped.
+            waker.wake_by_ref();
+            yield_now().await;
+
+            // A timer arm of the same slot refreshes the waker data's
+            // generation but dispatches only off its own timer.
+            let retimed = s.schedule_event(s.now() + SimDuration::from_nanos(10), h, 4);
+            assert_eq!(retimed.slot, posted.slot);
+            s.sleep(SimDuration::from_nanos(20)).await;
+
+            let (reparked, waker) = s.event_waker(h, 5);
+            assert_eq!(reparked.slot, posted.slot);
+            waker.wake();
+            yield_now().await;
+        });
+        assert_eq!(
+            *log.borrow(),
+            vec![(0, 1), (10, 2), (25, 3), (35, 4), (45, 5)]
+        );
+        assert_eq!(sim.live_events(), 0);
+    }
+
+    /// Direct wakers live in fixed-capacity chunks; records from every
+    /// chunk must keep dispatching to their own payload after later
+    /// chunks were added.
+    #[test]
+    fn direct_wakers_across_chunks_dispatch_once_in_order() {
+        let sim = Sim::new();
+        let (h, log) = logging_handler(&sim);
+        let n = 2 * DIRECT_CHUNK as u32 + 17;
+        let wakers: Vec<Waker> = (0..n).map(|i| sim.direct_waker(h, i)).collect();
+        assert_eq!(sim.core.direct_waker_data.borrow().len(), 3);
+        sim.run_until(async move {
+            for w in &wakers {
+                w.wake_by_ref();
+            }
+            yield_now().await;
+        });
+        let fired: Vec<u64> = log.borrow().iter().map(|&(_, d)| d).collect();
+        assert_eq!(fired, (0..u64::from(n)).collect::<Vec<_>>());
+    }
+
     #[test]
     fn cleared_handler_discards_pending_events() {
         let sim = Sim::new();
@@ -1459,6 +1495,10 @@ mod tests {
     enum SlabOp {
         Schedule { delay: u64, data: u64 },
         Post { data: u64 },
+        /// Arm through [`Sim::event_waker`] and hold the waker.
+        Park,
+        /// Wake one still-parked event (once, as sync primitives do).
+        Wake { target: usize },
         Cancel { target: usize },
         Run { nanos: u64 },
     }
@@ -1471,7 +1511,12 @@ mod tests {
                     .into_iter()
                     .map(|d| SlabOp::Schedule { delay: d, data })
                     .collect(),
-                SlabOp::Post { .. } => Vec::new(),
+                SlabOp::Post { .. } | SlabOp::Park => Vec::new(),
+                SlabOp::Wake { target } => target
+                    .shrink_candidates()
+                    .into_iter()
+                    .map(|t| SlabOp::Wake { target: t })
+                    .collect(),
                 SlabOp::Cancel { target } => target
                     .shrink_candidates()
                     .into_iter()
@@ -1486,11 +1531,13 @@ mod tests {
         }
     }
 
-    /// ABA / use-after-cancel property (ISSUE 10 S3): over random
-    /// schedule/cancel/fire interleavings, every armed event dispatches
-    /// exactly once with its own payload unless cancelled first, a
-    /// cancelled event never dispatches even when its slot is re-armed
-    /// (generation guard), and cancel-after-fire reports `false`.
+    /// ABA / use-after-cancel property: over random schedule/park/
+    /// cancel/fire interleavings, every armed event dispatches exactly
+    /// once with its own payload unless cancelled first, a cancelled
+    /// event never dispatches even when its slot is re-armed
+    /// (generation guard), and cancel-after-fire reports `false`. Parked
+    /// events fire when woken; a cancelled park drops its waker unwoken,
+    /// as a sync primitive's wait node does.
     #[test]
     fn prop_event_slab_generations_survive_reuse() {
         use crate::proptest::{check, CaseOutcome};
@@ -1499,7 +1546,7 @@ mod tests {
         check(
             "event_slab_generations_survive_reuse",
             |g| {
-                g.vec(1, 48, |g| match g.u8_in(0, 3) {
+                g.vec(1, 48, |g| match g.u8_in(0, 5) {
                     0 => SlabOp::Schedule {
                         delay: g.u64_in(0, 400),
                         data: g.any_u32() as u64,
@@ -1508,6 +1555,10 @@ mod tests {
                         data: g.any_u32() as u64,
                     },
                     2 => SlabOp::Cancel {
+                        target: g.usize_in(0, 63),
+                    },
+                    3 => SlabOp::Park,
+                    4 => SlabOp::Wake {
                         target: g.usize_in(0, 63),
                     },
                     _ => SlabOp::Run {
@@ -1524,6 +1575,9 @@ mod tests {
                 // interpreter: data -> armed deadline.
                 let outcome = sim.run_until(async move {
                     let mut armed: Vec<(ScheduledEvent, u64, u64)> = Vec::new(); // (ev, data, deadline)
+                    // Unwoken parks: (index into `armed`, waker). A
+                    // park's deadline is the instant it is woken.
+                    let mut parked: Vec<(usize, Waker)> = Vec::new();
                     let mut expected: Vec<(u64, u64)> = Vec::new();
                     let mut cancelled: Vec<u64> = Vec::new();
                     // Payloads are re-keyed to a unique counter so the
@@ -1544,6 +1598,21 @@ mod tests {
                                 let ev = s.post_event(h, data);
                                 armed.push((ev, data, s.now().as_nanos()));
                             }
+                            SlabOp::Park => {
+                                let data = next_data;
+                                next_data += 1;
+                                let (ev, waker) = s.event_waker(h, data);
+                                parked.push((armed.len(), waker));
+                                armed.push((ev, data, u64::MAX));
+                            }
+                            SlabOp::Wake { target } => {
+                                if parked.is_empty() {
+                                    continue;
+                                }
+                                let (i, waker) = parked.remove(target % parked.len());
+                                armed[i].2 = s.now().as_nanos();
+                                waker.wake();
+                            }
                             SlabOp::Cancel { target } => {
                                 if armed.is_empty() {
                                     continue;
@@ -1555,6 +1624,7 @@ mod tests {
                                 let ok = s.cancel_event(ev);
                                 if ok {
                                     cancelled.push(data);
+                                    parked.retain(|&(i, _)| armed[i].1 != data);
                                 } else if !already_fired && !already_cancelled {
                                     return CaseOutcome::Fail(format!(
                                         "cancel of live unfired event {data} (deadline \
@@ -1567,7 +1637,12 @@ mod tests {
                             }
                         }
                     }
-                    // Drain everything still pending.
+                    // Wake every remaining park, then drain everything
+                    // still pending.
+                    for (i, waker) in parked.drain(..) {
+                        armed[i].2 = s.now().as_nanos();
+                        waker.wake();
+                    }
                     s.sleep(SimDuration::from_nanos(1_000)).await;
                     for (_, data, deadline) in &armed {
                         if !cancelled.contains(data) {

@@ -22,6 +22,12 @@ echo "==> zero-alloc steady state smoke (counting global allocator, release)"
 # exercises the same codegen as the benchmarks.
 cargo test -q --release --offline -p nfsperf-fleet --test zero_alloc
 
+echo "==> peak heap per in-flight flyweight client (counting global allocator, release)"
+# With every client of a 50k tier in flight at once, the live-heap
+# high-water mark per client must stay under the test's budget, so
+# per-RPC engine bookkeeping cannot creep back in.
+cargo test -q --release --offline -p nfsperf-fleet --test peak_heap
+
 echo "==> host-time benchmark tests (perfbench, release)"
 # The benchmark package has its own workspace. Its tests drive every
 # workload at smoke size through the CLI, including the mirror world
