@@ -71,15 +71,18 @@ fn sweep_from_points(sizes_len: usize, points: &[(f64, f64)]) -> Sweep {
 pub fn throughput_sweep(tuning: ClientTuning, sizes: &[u64], jobs: usize) -> Sweep {
     let mut cells: Vec<runner::Cell<(f64, f64)>> = Vec::new();
     for &size in sizes {
-        cells.push(runner::Cell::new(format!("figure/local/{}", mb(size)), move || {
-            throughput_point(tuning, None, size)
-        }));
-        cells.push(runner::Cell::new(format!("figure/filer/{}", mb(size)), move || {
-            throughput_point(tuning, Some(ServerKind::Filer), size)
-        }));
-        cells.push(runner::Cell::new(format!("figure/knfsd/{}", mb(size)), move || {
-            throughput_point(tuning, Some(ServerKind::Knfsd), size)
-        }));
+        cells.push(runner::Cell::new(
+            format!("figure/local/{}", mb(size)),
+            move || throughput_point(tuning, None, size),
+        ));
+        cells.push(runner::Cell::new(
+            format!("figure/filer/{}", mb(size)),
+            move || throughput_point(tuning, Some(ServerKind::Filer), size),
+        ));
+        cells.push(runner::Cell::new(
+            format!("figure/knfsd/{}", mb(size)),
+            move || throughput_point(tuning, Some(ServerKind::Knfsd), size),
+        ));
     }
     let points = runner::run_cells(jobs, cells);
     sweep_from_points(sizes.len(), &points)
@@ -387,9 +390,8 @@ pub fn slow_server_csv(c: &SlowServerComparison) -> String {
 }
 
 /// File sizes for the fixed-size exhibits (figures 2–6, Table 1, the
-/// slow-server comparison). Defaults are the paper's sizes; tests shrink
-/// every field to run the full phased-vs-monolithic equivalence check on
-/// tiny files.
+/// slow-server comparison). Defaults are the paper's sizes; the golden
+/// tests shrink every field to pin all nine exhibits on tiny files.
 #[derive(Debug, Clone, Copy)]
 pub struct ExhibitSizes {
     /// Figure 2's file (paper: 40 MB).
@@ -467,8 +469,7 @@ impl ExhibitPart {
 /// per figure-5/6 server half, per Table 1 entry, and per slow-server
 /// run — so a worker pool is never starved by one monolithic exhibit.
 /// Results pair back up in [`assemble_exhibits`]; the CSVs are
-/// byte-identical to the monolithic list
-/// ([`monolithic_exhibit_cells_with`]) at any `--jobs` value.
+/// byte-identical at any `--jobs` value.
 pub fn exhibit_cells(sizes: &[u64]) -> Vec<runner::Cell<ExhibitPart>> {
     exhibit_cells_with(sizes, ExhibitSizes::default())
 }
@@ -568,70 +569,9 @@ pub fn exhibit_cells_with(sizes: &[u64], ex: ExhibitSizes) -> Vec<runner::Cell<E
     cells
 }
 
-/// The pre-split *monolithic* work-list: one cell per whole exhibit,
-/// each rendering `(file name, CSV body)` with its inner sweep run
-/// serially. Kept as the reference implementation the phased list is
-/// proven byte-identical against (`tests/runner.rs`).
-pub fn monolithic_exhibit_cells_with(
-    sizes: &[u64],
-    ex: ExhibitSizes,
-) -> Vec<runner::Cell<(&'static str, String)>> {
-    let s1 = sizes.to_vec();
-    let s7 = sizes.to_vec();
-    vec![
-        runner::Cell::new("figures/figure1", move || {
-            ("figure1.csv", figure1(&s1, 1).to_csv())
-        }),
-        runner::Cell::new("figures/figure2", move || {
-            (
-                "figure2.csv",
-                latency_trace("linux-2.4.4", ClientTuning::linux_2_4_4(), ex.figure2_bytes)
-                    .to_csv(),
-            )
-        }),
-        runner::Cell::new("figures/figure3", move || {
-            (
-                "figure3.csv",
-                latency_trace("no-flush", ClientTuning::no_flush(), ex.figure3_bytes).to_csv(),
-            )
-        }),
-        runner::Cell::new("figures/figure4", move || {
-            (
-                "figure4.csv",
-                latency_trace("hash-table", ClientTuning::hash_table(), ex.figure4_bytes).to_csv(),
-            )
-        }),
-        runner::Cell::new("figures/figure5", move || {
-            (
-                "figure5.csv",
-                histogram_pair("normal (BKL held)", ClientTuning::hash_table(), ex.histogram_bytes)
-                    .to_csv(),
-            )
-        }),
-        runner::Cell::new("figures/figure6", move || {
-            (
-                "figure6.csv",
-                histogram_pair("no lock", ClientTuning::full_patch(), ex.histogram_bytes).to_csv(),
-            )
-        }),
-        runner::Cell::new("figures/table1", move || {
-            ("table1.csv", table1_csv(&table1_sized(ex.table1_bytes)))
-        }),
-        runner::Cell::new("figures/figure7", move || {
-            ("figure7.csv", figure7(&s7, 1).to_csv())
-        }),
-        runner::Cell::new("figures/slow_server", move || {
-            (
-                "slow_server.csv",
-                slow_server_csv(&slow_server_comparison_sized(ex.slow_bytes)),
-            )
-        }),
-    ]
-}
-
 /// Reassembles the phased results (in [`exhibit_cells_with`] work-list
-/// order) into the `(file name, CSV body)` list the monolithic cells
-/// produce — byte-identical, in the same file order.
+/// order) into one `(file name, CSV body)` pair per exhibit, in the
+/// paper's order.
 ///
 /// # Panics
 ///

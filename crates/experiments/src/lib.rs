@@ -49,8 +49,7 @@ pub use netqos::{
     netqos_sweep, run_netqos, NetQosCell, NetQosConfig, NetQosRun, NetQosSweep, NetSched,
 };
 pub use qos::{
-    assemble_qos_rows, qos_cells, qos_run_cells, qos_sweep, run_qos, QosCell, QosConfig, QosRun,
-    QosSweep,
+    assemble_qos_rows, qos_run_cells, qos_sweep, run_qos, QosCell, QosConfig, QosRun, QosSweep,
 };
 pub use render::{ascii_table, write_rows_csv, Series, Sweep};
 pub use scenario::{

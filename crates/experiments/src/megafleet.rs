@@ -278,8 +278,6 @@ pub struct MegaCell {
     pub fly_rpc_p99_ms: f64,
     /// Worst faithful client's service p99, ms.
     pub faithful_svc_p99_ms: f64,
-    /// Deterministic event count of the cell.
-    pub events: u64,
     /// Flyweight resident bytes per client.
     pub bytes_per_client: usize,
 }
@@ -320,7 +318,6 @@ pub fn megafleet_cells(
                         faithful_jain: jain_index(&run.faithful_mbps),
                         fly_rpc_p99_ms: run.fly_rpc_p99_ms,
                         faithful_svc_p99_ms: run.faithful_svc_p99_ms,
-                        events: run.events,
                         bytes_per_client: run.bytes_per_client,
                     }
                 },
@@ -359,15 +356,17 @@ impl MegaSweep {
             .map(|w| w[0].0)
     }
 
-    /// The sweep as CSV. `at_knee` marks each curve's knee row.
+    /// The sweep as CSV. `at_knee` marks each curve's knee row. Every
+    /// column is a simulated result; the host engine's event count is
+    /// reported by `nfsperf bench`, not here.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "server,flyweights,faithful,aggregate_mbps,fly_mean_mbps,fly_jain,faithful_mean_mbps,faithful_jain,fly_rpc_p99_ms,faithful_svc_p99_ms,events,bytes_per_client,at_knee\n",
+            "server,flyweights,faithful,aggregate_mbps,fly_mean_mbps,fly_jain,faithful_mean_mbps,faithful_jain,fly_rpc_p99_ms,faithful_svc_p99_ms,bytes_per_client,at_knee\n",
         );
         for r in &self.rows {
             let at_knee = self.knee(r.server) == Some(r.flyweights);
             out.push_str(&format!(
-                "{},{},{},{:.3},{:.6},{:.4},{:.3},{:.4},{:.3},{:.3},{},{},{}\n",
+                "{},{},{},{:.3},{:.6},{:.4},{:.3},{:.4},{:.3},{:.3},{},{}\n",
                 r.server.label(),
                 r.flyweights,
                 r.faithful,
@@ -378,7 +377,6 @@ impl MegaSweep {
                 r.faithful_jain,
                 r.fly_rpc_p99_ms,
                 r.faithful_svc_p99_ms,
-                r.events,
                 r.bytes_per_client,
                 if at_knee { "yes" } else { "" },
             ));

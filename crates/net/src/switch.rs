@@ -37,17 +37,19 @@
 //! Under [`PortFifo`] every wake, poll, and queue transition happens in
 //! the same order as the semaphore lane, so sweeps under the default
 //! policy reproduce the pre-refactor CSVs byte for byte (a replay
-//! property test in this crate and the committed sweep artifacts both
-//! hold this line).
+//! property test in this crate and the committed goldens both hold
+//! this line).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::task::Waker;
 
-use nfsperf_sim::{ByteMeter, Counter, LatencyDigest, Receiver, Sim, SimDuration, SimTime};
+use nfsperf_sim::{
+    poll_machine, ByteMeter, Counter, LatencyDigest, Receiver, Sim, SimDuration, SimTime,
+};
 
 use crate::nic::{DatagramPayload, Nic, NicSpec};
-use crate::sched::{PortPolicy, PortSched, PortTicket, TicketWait};
+use crate::sched::{PortPolicy, PortSched, PortTicket};
 use crate::Path;
 
 /// Which way a datagram crosses a [`SharedLink`].
@@ -167,7 +169,7 @@ fn arbiter_model_bytes() -> usize {
 /// arrival time (for queue-delay sampling) plus the queued ticket once
 /// the fast path fails. Built per hop with [`LaneAdmit::start`] and
 /// must be driven to admission once started — a queued ticket holds a
-/// scheduler slot, just as a parked [`SharedLink::traverse`] task does.
+/// scheduler slot.
 pub struct LaneAdmit {
     arrival: SimTime,
     started: bool,
@@ -245,56 +247,24 @@ impl SharedLink {
 
     /// Carries one datagram of `wire_len` wire bytes (`payload_len`
     /// payload) from `flow` across the link, queueing behind other
-    /// traffic in the same direction under the lane's policy.
+    /// traffic in the same direction under the lane's policy:
+    /// [`SharedLink::poll_admit`] driven by the calling task, the wire
+    /// time, then [`SharedLink::finish_traverse`].
     pub async fn traverse(&self, flow: u32, dir: LinkDir, wire_len: usize, payload_len: usize) {
-        let lane = &self.lanes[dir.lane()];
-        let arrival = self.sim.now();
-        // Fast path: slot free, nothing queued — barge in without
-        // queueing (the semaphore's uncontended acquire).
-        if lane.busy.get() || lane.sched.queued() > 0 {
-            let ticket = PortTicket::new(flow, wire_len as u64);
-            loop {
-                lane.sched.enqueue(Rc::clone(&ticket));
-                lane.kick();
-                TicketWait {
-                    ticket: Rc::clone(&ticket),
-                }
-                .await;
-                ticket.rearm();
-                lane.pending_wakes.set(lane.pending_wakes.get() - 1);
-                if !lane.busy.get() {
-                    break;
-                }
-                // Slot stolen by a fast-path arrival between our wake and
-                // our poll: refund the pick and re-queue.
-                lane.sched.ungrant(flow, wire_len as u64);
-            }
-            PortTicket::recycle(ticket);
-        }
-        lane.busy.set(true);
-        lane.sample_queue_delay(self.sim.now().since(arrival));
+        let mut st = LaneAdmit::start(self.sim.now());
+        poll_machine(|wf| self.poll_admit(&mut st, dir, flow, wire_len, wf).then_some(())).await;
         self.sim.sleep(self.spec.transfer_time(wire_len)).await;
-        // Account while still holding the slot, so meters and datagram
-        // counts advance in dequeue order even when the scheduler
-        // reorders flows (a DRR pick finishing its wire time must be
-        // metered before the next pick starts, not racing release).
-        lane.meter.record(self.sim.now(), payload_len as u64);
-        lane.datagrams.inc();
-        lane.busy.set(false);
-        lane.kick();
+        self.finish_traverse(dir, payload_len);
     }
 
-    /// Poll-style admission to the `dir` lane for taskless state
-    /// machines: `true` once the serialization slot is held (the caller
-    /// then models the wire time itself and calls
+    /// The lane's one admission machine; [`SharedLink::traverse`] is
+    /// this machine driven by a task, followed by the wire time. Returns
+    /// `true` once the `dir` lane's serialization slot is held (the
+    /// caller then models the wire time itself and calls
     /// [`SharedLink::finish_traverse`] when it elapses), `false` after
     /// parking a waker from `waker_factory` — call again when it fires.
-    ///
-    /// Every queue transition — fast-path barge, enqueue/kick, the
-    /// post-wake busy re-check and ungrant-requeue on a stolen slot —
-    /// replays [`SharedLink::traverse`]'s admission exactly, and both
-    /// kinds of traffic share each lane's one [`PortSched`], so mixed
-    /// task/event traffic drains in the identical order.
+    /// Tasks and taskless callers share each lane's one [`PortSched`],
+    /// so mixed traffic drains in a single order.
     pub fn poll_admit(
         &self,
         st: &mut LaneAdmit,
@@ -345,10 +315,13 @@ impl SharedLink {
 
     /// Completes a traversal admitted by [`SharedLink::poll_admit`] once
     /// the caller's modeled wire time has elapsed: meters the payload in
-    /// dequeue order, releases the slot, and kicks the next pick —
-    /// [`SharedLink::traverse`]'s epilogue, verbatim.
+    /// dequeue order, releases the slot, and kicks the next pick.
     pub fn finish_traverse(&self, dir: LinkDir, payload_len: usize) {
         let lane = &self.lanes[dir.lane()];
+        // Account while still holding the slot, so meters and datagram
+        // counts advance in dequeue order even when the scheduler
+        // reorders flows (a DRR pick finishing its wire time must be
+        // metered before the next pick starts, not racing release).
         lane.meter.record(self.sim.now(), payload_len as u64);
         lane.datagrams.inc();
         lane.busy.set(false);

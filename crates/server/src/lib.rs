@@ -381,6 +381,105 @@ mod tests {
         assert!(server.stats().inline_flushes > 0);
     }
 
+    /// One flyweight request for [`drive_flyweights`].
+    #[derive(Clone, Copy)]
+    enum FlyReq {
+        Write { client: usize, bytes: u64 },
+        Commit { client: usize },
+    }
+
+    /// Drives chains of flyweight requests through
+    /// [`NfsServer::poll_flyweight`] the way the event-driven client tier
+    /// does: no tasks, one executor event handler, each chain's requests
+    /// strictly in order, every chain's first op begun at the current
+    /// instant. Returns the latest simulated nanosecond a chain finished.
+    fn drive_flyweights(sim: &Sim, server: &Rc<NfsServer>, chains: Vec<Vec<FlyReq>>) -> u64 {
+        use nfsperf_sim::EventHandlerId;
+        use std::cell::{Cell, RefCell};
+        use std::collections::VecDeque;
+
+        struct Chain {
+            rest: VecDeque<FlyReq>,
+            op: FlyweightOp,
+        }
+        struct Driver {
+            sim: Sim,
+            server: Rc<NfsServer>,
+            handler: Cell<EventHandlerId>,
+            chains: RefCell<Vec<Chain>>,
+            live: Cell<usize>,
+            finish: Cell<u64>,
+        }
+        impl Driver {
+            fn begin(&self, req: FlyReq) -> FlyweightOp {
+                match req {
+                    FlyReq::Write { client, bytes } => {
+                        self.server.begin_flyweight_write(client, bytes)
+                    }
+                    FlyReq::Commit { client } => self.server.begin_flyweight_commit(client),
+                }
+            }
+
+            fn step(&self, idx: usize) {
+                let mut chains = self.chains.borrow_mut();
+                let chain = &mut chains[idx];
+                let sim = self.sim.clone();
+                let h = self.handler.get();
+                let data = idx as u64;
+                let mut wf = move || sim.event_waker(h, data).1;
+                loop {
+                    match self.server.poll_flyweight(&mut chain.op, &mut wf) {
+                        FlyStep::Parked => return,
+                        FlyStep::Sleep(d) => {
+                            let deadline =
+                                nfsperf_sim::SimTime(self.sim.now().as_nanos() + d.as_nanos());
+                            if deadline > self.sim.now() {
+                                self.sim.schedule_event(deadline, h, data);
+                                return;
+                            }
+                        }
+                        FlyStep::Done => match chain.rest.pop_front() {
+                            Some(req) => chain.op = self.begin(req),
+                            None => {
+                                self.finish
+                                    .set(self.finish.get().max(self.sim.now().as_nanos()));
+                                self.live.set(self.live.get() - 1);
+                                return;
+                            }
+                        },
+                    }
+                }
+            }
+        }
+        let driver = Rc::new(Driver {
+            sim: sim.clone(),
+            server: Rc::clone(server),
+            handler: Cell::new(sim.register_event_handler(Rc::new(|_| {}))),
+            chains: RefCell::new(Vec::new()),
+            live: Cell::new(chains.len()),
+            finish: Cell::new(0),
+        });
+        let d = Rc::clone(&driver);
+        let h = sim.register_event_handler(Rc::new(move |data| d.step(data as usize)));
+        driver.handler.set(h);
+        for (c, reqs) in chains.into_iter().enumerate() {
+            let mut rest = VecDeque::from(reqs);
+            let first = rest.pop_front().expect("a chain has at least one request");
+            let op = driver.begin(first);
+            driver.chains.borrow_mut().push(Chain { rest, op });
+            sim.post_event(h, c as u64);
+        }
+        let s = sim.clone();
+        let d = Rc::clone(&driver);
+        sim.run_until(async move {
+            while d.live.get() > 0 {
+                s.sleep(SimDuration::from_micros(100)).await;
+            }
+        });
+        sim.clear_event_handler(h);
+        driver.finish.get()
+    }
+
     /// Flyweight requests contend for the same backend as faithful
     /// traffic (the dirty cache fills and flushes) but leave only shared
     /// tier counters behind — no per-client stats entry, no digests.
@@ -390,12 +489,16 @@ mod tests {
         let srv = Rc::clone(&server);
         let base = server.register_slim_clients(10_000);
         sim.run_until(async move {
-            let (_fh, _r) = create_and_write(&client, &srv, StableHow::Unstable, 2).await;
-            for i in 0..4u64 {
-                srv.serve_flyweight_write(base + (i as usize % 10_000), 8192).await;
-            }
-            srv.serve_flyweight_commit(base).await;
+            create_and_write(&client, &srv, StableHow::Unstable, 2).await;
         });
+        let mut reqs: Vec<FlyReq> = (0..4)
+            .map(|i| FlyReq::Write {
+                client: base + i,
+                bytes: 8192,
+            })
+            .collect();
+        reqs.push(FlyReq::Commit { client: base });
+        drive_flyweights(&sim, &server, vec![reqs]);
         let slim = server.slim_stats();
         assert_eq!(slim.clients, 10_000);
         assert_eq!(slim.writes, 4);
@@ -411,167 +514,81 @@ mod tests {
         assert!(server.service_engine().service_samples(base).is_empty());
     }
 
-    /// The poll-style flyweight machine must replay the async flyweight
-    /// path exactly: same finish times, same aggregate stats, on every
-    /// backend — including ones sized down to force NVRAM stalls and
-    /// inline dirty-cache flushes, where wait-queue order decides who
-    /// flushes what.
+    /// Exact output of flyweight chains (4 clients, each 8 × 64 KiB
+    /// WRITEs then a COMMIT) on every backend, two of them sized down to
+    /// force NVRAM stalls and inline dirty-cache flushes, where
+    /// wait-queue order decides who flushes what. Any change to a wait
+    /// point's queue discipline moves these numbers.
     #[test]
-    fn flyweight_poll_machine_matches_task_engine() {
-        use nfsperf_sim::EventHandlerId;
-        use server::{FlyStep, FlyweightOp};
-        use std::cell::{Cell, RefCell};
-
+    fn flyweight_output_is_pinned() {
         const CLIENTS: usize = 4;
-        const WRITES: u32 = 8;
+        const WRITES: usize = 8;
         const BYTES: u64 = 64 * 1024;
 
-        fn configs() -> Vec<ServerConfig> {
-            let mut filer = ServerConfig::netapp_f85();
-            if let BackendConfig::Filer {
-                ref mut nvram_capacity,
-                ref mut checkpoint_offset,
-                ..
-            } = filer.backend
-            {
-                *nvram_capacity = 192 * 1024; // force admission stalls
-                *checkpoint_offset = SimDuration::from_micros(200);
-            }
-            let mut knfsd = ServerConfig::linux_knfsd();
-            if let BackendConfig::CacheDisk {
-                ref mut dirty_cap, ..
-            } = knfsd.backend
-            {
-                *dirty_cap = 128 * 1024; // force inline flushes
-            }
-            vec![filer, knfsd, ServerConfig::slow_100bt()]
+        let mut filer = ServerConfig::netapp_f85();
+        if let BackendConfig::Filer {
+            ref mut nvram_capacity,
+            ref mut checkpoint_offset,
+            ..
+        } = filer.backend
+        {
+            *nvram_capacity = 192 * 1024; // force admission stalls
+            *checkpoint_offset = SimDuration::from_micros(200);
         }
-
-        type Outcome = (u64, ServerStats, SlimTierStats);
-
-        fn run_tasks(config: ServerConfig) -> Outcome {
-            let sim = Sim::new();
-            let server = NfsServer::new(&sim, config);
-            let base = server.register_slim_clients(CLIENTS);
-            let done = Rc::new(Cell::new(0usize));
-            let finish = Rc::new(Cell::new(0u64));
-            for c in 0..CLIENTS {
-                let srv = Rc::clone(&server);
-                let done = Rc::clone(&done);
-                let finish = Rc::clone(&finish);
-                let s = sim.clone();
-                sim.spawn(async move {
-                    for _ in 0..WRITES {
-                        srv.serve_flyweight_write(base + c, BYTES).await;
-                    }
-                    srv.serve_flyweight_commit(base + c).await;
-                    finish.set(finish.get().max(s.now().as_nanos()));
-                    done.set(done.get() + 1);
-                });
-            }
-            let s = sim.clone();
-            let d = Rc::clone(&done);
-            sim.run_until(async move {
-                while d.get() < CLIENTS {
-                    s.sleep(SimDuration::from_micros(100)).await;
-                }
-            });
-            (finish.get(), server.stats(), server.slim_stats())
+        let mut knfsd = ServerConfig::linux_knfsd();
+        if let BackendConfig::CacheDisk {
+            ref mut dirty_cap, ..
+        } = knfsd.backend
+        {
+            *dirty_cap = 128 * 1024; // force inline flushes
         }
-
-        fn run_events(config: ServerConfig) -> Outcome {
-            struct Chain {
-                writes_left: u32,
-                committed: bool,
-                op: FlyweightOp,
-            }
-            struct Driver {
-                sim: Sim,
-                server: Rc<NfsServer>,
-                handler: Cell<EventHandlerId>,
-                chains: RefCell<Vec<Chain>>,
-                base: usize,
-                live: Cell<usize>,
-                finish: Cell<u64>,
-            }
-            impl Driver {
-                fn step(&self, idx: usize) {
-                    let mut chains = self.chains.borrow_mut();
-                    let chain = &mut chains[idx];
-                    let sim = self.sim.clone();
-                    let h = self.handler.get();
-                    let data = idx as u64;
-                    let mut wf = move || sim.event_waker(h, data).1;
-                    loop {
-                        match self.server.poll_flyweight(&mut chain.op, &mut wf) {
-                            FlyStep::Parked => return,
-                            FlyStep::Sleep(d) => {
-                                let deadline =
-                                    nfsperf_sim::SimTime(self.sim.now().as_nanos() + d.as_nanos());
-                                if deadline > self.sim.now() {
-                                    self.sim.schedule_event(deadline, h, data);
-                                    return;
-                                }
-                            }
-                            FlyStep::Done => {
-                                if chain.writes_left > 0 {
-                                    chain.writes_left -= 1;
-                                    chain.op =
-                                        self.server.begin_flyweight_write(self.base + idx, BYTES);
-                                } else if !chain.committed {
-                                    chain.committed = true;
-                                    chain.op =
-                                        self.server.begin_flyweight_commit(self.base + idx);
-                                } else {
-                                    self.finish
-                                        .set(self.finish.get().max(self.sim.now().as_nanos()));
-                                    self.live.set(self.live.get() - 1);
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            let sim = Sim::new();
-            let server = NfsServer::new(&sim, config);
-            let base = server.register_slim_clients(CLIENTS);
-            let driver = Rc::new(Driver {
-                sim: sim.clone(),
-                server: Rc::clone(&server),
-                handler: Cell::new(sim.register_event_handler(Rc::new(|_| {}))),
-                chains: RefCell::new(Vec::new()),
-                base,
-                live: Cell::new(CLIENTS),
-                finish: Cell::new(0),
-            });
-            let d = Rc::clone(&driver);
-            let h = sim.register_event_handler(Rc::new(move |data| d.step(data as usize)));
-            driver.handler.set(h);
-            for c in 0..CLIENTS {
-                driver.chains.borrow_mut().push(Chain {
-                    writes_left: WRITES - 1,
-                    committed: false,
-                    op: server.begin_flyweight_write(base + c, BYTES),
-                });
-                sim.post_event(h, c as u64);
-            }
-            let s = sim.clone();
-            let d = Rc::clone(&driver);
-            sim.run_until(async move {
-                while d.live.get() > 0 {
-                    s.sleep(SimDuration::from_micros(100)).await;
-                }
-            });
-            sim.clear_event_handler(h);
-            (driver.finish.get(), server.stats(), server.slim_stats())
-        }
-
-        for config in configs() {
+        // (config, finish ns, checkpoints, inline flushes)
+        let pins = [
+            (filer, 294_090_667, 1, 0),
+            (knfsd, 83_364_954, 0, 16),
+            (ServerConfig::slow_100bt(), 11_025_760, 0, 0),
+        ];
+        for (config, finish_ns, checkpoints, inline_flushes) in pins {
             let name = config.name;
-            let tasks = run_tasks(config.clone());
-            let events = run_events(config);
-            assert_eq!(tasks, events, "engines diverged on {name}");
+            let sim = Sim::new();
+            let server = NfsServer::new(&sim, config);
+            let base = server.register_slim_clients(CLIENTS);
+            let chains = (base..base + CLIENTS)
+                .map(|client| {
+                    let mut reqs = vec![
+                        FlyReq::Write {
+                            client,
+                            bytes: BYTES
+                        };
+                        WRITES
+                    ];
+                    reqs.push(FlyReq::Commit { client });
+                    reqs
+                })
+                .collect();
+            let finish = drive_flyweights(&sim, &server, chains);
+            assert_eq!(
+                (finish, server.stats(), server.slim_stats()),
+                (
+                    finish_ns,
+                    ServerStats {
+                        ops: 36,
+                        writes: 32,
+                        write_bytes: 32 * BYTES,
+                        commits: 4,
+                        checkpoints,
+                        inline_flushes,
+                    },
+                    SlimTierStats {
+                        clients: 4,
+                        ops: 36,
+                        writes: 32,
+                        write_bytes: 32 * BYTES,
+                        commits: 4,
+                    }
+                ),
+                "{name}: simulated output moved"
+            );
         }
     }
 

@@ -8,9 +8,10 @@
 //! client RAM plus NVRAM.
 
 use std::cell::Cell;
+use std::future::Future;
 use std::rc::Rc;
 
-use nfsperf_sim::{Sim, WaitFuture, WaitQueue};
+use nfsperf_sim::{poll_machine, Sim, WaitFuture, WaitQueue};
 
 use crate::disk::DiskModel;
 
@@ -65,36 +66,28 @@ impl Nvram {
         nvram
     }
 
-    /// Logs `bytes` into NVRAM, stalling while the log is full.
+    /// Logs `bytes` into NVRAM, stalling while the log is full:
+    /// [`Nvram::poll_admit`] driven by the calling task.
     ///
     /// # Panics
     ///
     /// Panics if `bytes` exceeds the whole log capacity.
-    pub async fn admit(&self, bytes: u64) {
-        assert!(
-            bytes <= self.capacity,
-            "single admission {bytes} larger than NVRAM {}",
-            self.capacity
-        );
-        if self.used.get() + bytes > self.capacity {
-            self.full_stalls.set(self.full_stalls.get() + 1);
-            while self.used.get() + bytes > self.capacity {
-                self.space.wait().await;
-            }
-        }
-        let u = self.used.get() + bytes;
-        self.used.set(u);
-        self.peak.set(self.peak.get().max(u));
-        self.total_admitted.set(self.total_admitted.get() + bytes);
-        self.work.wake_all();
+    pub fn admit(&self, bytes: u64) -> impl Future<Output = ()> + '_ {
+        let mut st = NvramAdmit::default();
+        poll_machine(move |wf| self.poll_admit(bytes, &mut st, wf).then_some(()))
     }
 
-    /// Poll-style [`Nvram::admit`] for taskless state machines: `true`
-    /// once the bytes are logged, `false` after parking a waker from
-    /// `waker_factory` (call again when it fires). Stall accounting,
-    /// the re-check loop against drain progress, and the drain-task
-    /// kick replay the async method exactly; parked flyweights share
-    /// the `space` queue with any parked tasks.
+    /// The log's one admission machine; [`Nvram::admit`] is this machine
+    /// driven by a task. Returns `true` once the bytes are logged,
+    /// `false` after parking a waker from `waker_factory` (call again
+    /// when it fires). An admission that finds the log full counts one
+    /// stall however many drain wakes it waits through, re-checks the
+    /// free space on every wake, and once logged kicks the drain task.
+    /// Tasks and taskless callers share the one `space` queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` exceeds the whole log capacity.
     pub fn poll_admit(
         &self,
         bytes: u64,

@@ -35,11 +35,10 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::Waker;
 
-use nfsperf_sim::{Counter, Sim, SimDuration, SimTime};
+use nfsperf_sim::{poll_machine, Counter, Sim, SimDuration, SimTime};
 
 pub use nfsperf_net::WeightTable;
 pub use nfsperf_sim::LatencyDigest;
@@ -76,8 +75,8 @@ pub struct ReqMeta {
 
 /// A queued admission request: scheduling metadata plus the woken/waker
 /// handshake (the same shape as the simulator's `WaitNode`). The engine
-/// parks the requesting task on its ticket; the scheduler hands tickets
-/// back from `pick_next` and the engine wakes them.
+/// parks the requester's waker on its ticket; the scheduler hands
+/// tickets back from `pick_next` and the engine wakes them.
 pub struct Ticket {
     meta: Cell<ReqMeta>,
     woken: Cell<bool>,
@@ -146,34 +145,16 @@ impl Ticket {
         self.woken.set(false);
     }
 
-    /// Whether the engine has picked and woken this ticket (poll-style
-    /// analogue of `TicketWait` completing).
+    /// Whether the engine has picked and woken this ticket.
     fn is_woken(&self) -> bool {
         self.woken.get()
     }
 
-    /// Stores a waker for the next wake — the poll-style analogue of
-    /// `TicketWait` returning `Poll::Pending`.
+    /// Stores a waker for the next wake. Callers must check
+    /// [`Ticket::is_woken`] first; parking an already-woken ticket would
+    /// strand the waker.
     fn park(&self, waker: Waker) {
         *self.waker.borrow_mut() = Some(waker);
-    }
-}
-
-/// Future that parks a task until its ticket is picked and woken.
-struct TicketWait {
-    ticket: Rc<Ticket>,
-}
-
-impl Future for TicketWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.ticket.woken.get() {
-            Poll::Ready(())
-        } else {
-            *self.ticket.waker.borrow_mut() = Some(cx.waker().clone());
-            Poll::Pending
-        }
     }
 }
 
@@ -715,57 +696,20 @@ impl ServiceEngine {
             .unwrap_or_default()
     }
 
-    /// Acquires a service slot for `meta`, waiting in scheduler order.
+    /// Acquires a service slot for `meta`, waiting in scheduler order:
+    /// [`ServiceEngine::poll_admit`] driven by the calling task.
     /// Dropping the returned [`SvcSlot`] releases the slot and dispatches
     /// the scheduler's next pick.
-    pub async fn admit(self: &Rc<Self>, meta: ReqMeta) -> SvcSlot {
-        self.enqueued_bytes.add(meta.bytes);
-        // Fast path: free slot, empty queue, and the policy admits the
-        // client directly (always true for FIFO — the semaphore's fast
-        // path, barging included).
-        if self.free.get() > 0 && self.sched.queued() == 0 && self.sched.try_grant(&meta) {
-            self.take_slot(&meta);
-            return SvcSlot {
-                engine: Rc::clone(self),
-                meta,
-            };
-        }
-        let ticket = Ticket::new(meta);
-        loop {
-            self.sched.enqueue(Rc::clone(&ticket));
-            // A new arrival can be eligible even while slots idle (e.g.
-            // every other client is quota-blocked); under FIFO this never
-            // fires — a slot only idles when the queue is empty.
-            self.kick();
-            TicketWait {
-                ticket: Rc::clone(&ticket),
-            }
-            .await;
-            ticket.rearm();
-            self.pending_wakes.set(self.pending_wakes.get() - 1);
-            if self.free.get() > 0 {
-                self.take_slot(&meta);
-                Ticket::recycle(ticket);
-                return SvcSlot {
-                    engine: Rc::clone(self),
-                    meta,
-                };
-            }
-            // A fast-path arrival stole the slot between our wake and our
-            // poll: give the grant back and re-queue at the back, as a
-            // semaphore waiter re-queues.
-            self.sched.ungrant(&meta);
-        }
+    pub fn admit(self: &Rc<Self>, meta: ReqMeta) -> impl Future<Output = SvcSlot> + '_ {
+        let mut st = SvcAdmit::default();
+        poll_machine(move |wf| self.poll_admit(meta, &mut st, wf))
     }
 
-    /// Poll-style [`ServiceEngine::admit`] for taskless state machines:
-    /// `Some(slot)` once admitted, `None` after parking a waker from
-    /// `waker_factory` (call again when it fires). Every admission step
-    /// — byte accounting, the fast-path grant, enqueue/kick, the
-    /// post-wake free-slot re-check and ungrant-requeue on a stolen
-    /// slot — replays the async method exactly, and both kinds of
-    /// requester share the one scheduler queue, so mixed task/event
-    /// traffic is served in the identical order.
+    /// The engine's one admission machine; [`ServiceEngine::admit`] is
+    /// this machine driven by a task. Returns `Some(slot)` once admitted,
+    /// `None` after parking a waker from `waker_factory` (call again when
+    /// it fires). Tasks and taskless callers share the one scheduler
+    /// queue, so mixed traffic is served in a single order.
     pub fn poll_admit(
         self: &Rc<Self>,
         meta: ReqMeta,
@@ -775,6 +719,9 @@ impl ServiceEngine {
         if !st.started {
             st.started = true;
             self.enqueued_bytes.add(meta.bytes);
+            // Fast path: free slot, empty queue, and the policy admits the
+            // client directly (always true for FIFO — the semaphore's fast
+            // path, barging included).
             if self.free.get() > 0 && self.sched.queued() == 0 && self.sched.try_grant(&meta) {
                 self.take_slot(&meta);
                 return Some(SvcSlot {
@@ -784,6 +731,9 @@ impl ServiceEngine {
             }
             let ticket = Ticket::new(meta);
             self.sched.enqueue(Rc::clone(&ticket));
+            // A new arrival can be eligible even while slots idle (e.g.
+            // every other client is quota-blocked); under FIFO this never
+            // fires — a slot only idles when the queue is empty.
             self.kick();
             st.ticket = Some(ticket);
         }
@@ -806,7 +756,8 @@ impl ServiceEngine {
                 });
             }
             // A fast-path arrival stole the slot between our wake and our
-            // poll: give the grant back and re-queue at the back.
+            // poll: give the grant back and re-queue at the back, as a
+            // semaphore waiter re-queues.
             self.sched.ungrant(&meta);
             self.sched.enqueue(Rc::clone(ticket));
             self.kick();

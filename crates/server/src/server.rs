@@ -464,8 +464,8 @@ impl NfsServer {
     /// they never materialize [`PerClientStats`] or per-client latency
     /// vectors (the service engine's sample cap is set to the faithful
     /// population), only the shared [`SlimTierStats`] counters. Requests
-    /// for these ids enter through [`NfsServer::serve_flyweight_write`] /
-    /// [`NfsServer::serve_flyweight_commit`] and contend for the same
+    /// for these ids enter through [`NfsServer::begin_flyweight_write`] /
+    /// [`NfsServer::begin_flyweight_commit`] and contend for the same
     /// service slots, NVRAM, checkpoints, and dirty cache as everyone
     /// else. Attach all faithful clients first.
     pub fn register_slim_clients(&self, count: usize) -> usize {
@@ -475,104 +475,33 @@ impl NfsServer {
         base
     }
 
-    /// Serves one flyweight WRITE of `bytes` payload for client id
+    /// Starts one flyweight WRITE of `bytes` payload for client id
     /// `client`: same checkpoint gate, scheduler admission, CPU cost, and
     /// backend (NVRAM / dirty cache) as [`NfsServer::handle_write`], but
     /// without XDR decode, file-system state, or per-client digests.
-    /// Returns when the reply would leave the server.
-    pub async fn serve_flyweight_write(&self, client: usize, bytes: u64) {
-        self.slim_ops.inc();
-        let arrival = self.sim.now();
-        if let Backend::Filer { checkpoint, .. } = &self.backend {
-            checkpoint.pass().await;
-        }
-        let _svc = self.admit(client, OpClass::Write, bytes, arrival).await;
-        self.sim
-            .sleep(self.fixed_op_cost + self.data_time(bytes))
-            .await;
-        match self.backend {
-            Backend::Filer { ref nvram, .. } => {
-                nvram.admit(bytes).await;
-            }
-            Backend::CacheDisk {
-                ref dirty,
-                dirty_cap,
-                ref disk,
-                ref inline_flushes,
-            } => {
-                if dirty.get() + bytes > dirty_cap {
-                    let flush = dirty.get() / 2 + bytes;
-                    inline_flushes.inc();
-                    disk.write_stream(flush).await;
-                    dirty.set(dirty.get().saturating_sub(flush));
-                }
-                dirty.set(dirty.get() + bytes);
-            }
-            Backend::Memory => {}
-        }
-        self.ops.inc();
-        self.writes.inc();
-        self.write_bytes.add(bytes);
-        self.slim_writes.inc();
-        self.slim_write_bytes.add(bytes);
-    }
-
-    /// Serves one flyweight COMMIT for client id `client`: same gate,
-    /// admission, and dirty-cache flush as [`NfsServer::handle_commit`].
-    pub async fn serve_flyweight_commit(&self, client: usize) {
-        self.slim_ops.inc();
-        let arrival = self.sim.now();
-        if let Backend::Filer { checkpoint, .. } = &self.backend {
-            checkpoint.pass().await;
-        }
-        let _svc = self.admit(client, OpClass::Commit, 0, arrival).await;
-        self.sim.sleep(self.fixed_op_cost).await;
-        match self.backend {
-            Backend::Filer { .. } | Backend::Memory => {}
-            Backend::CacheDisk {
-                ref dirty,
-                ref disk,
-                ..
-            } => {
-                let d = dirty.replace(0);
-                if d > 0 {
-                    disk.write_stream(d).await;
-                } else {
-                    disk.barrier().await;
-                }
-            }
-        }
-        self.ops.inc();
-        self.commits.inc();
-        self.slim_commits.inc();
-    }
-
-    /// Starts a flyweight WRITE as a poll-style op: the taskless twin of
-    /// [`NfsServer::serve_flyweight_write`]. Runs the same entry
-    /// bookkeeping the async method's first lines do (tier op count,
-    /// arrival timestamp), then hands back a state machine the caller
-    /// advances with [`NfsServer::poll_flyweight`].
+    /// Counts the tier op and stamps the arrival, then hands back a state
+    /// machine the caller advances with [`NfsServer::poll_flyweight`].
     pub fn begin_flyweight_write(&self, client: usize, bytes: u64) -> FlyweightOp {
         self.slim_ops.inc();
         FlyweightOp::new(client, FlyKind::Write, bytes, self.sim.now())
     }
 
-    /// Starts a flyweight COMMIT as a poll-style op: the taskless twin of
-    /// [`NfsServer::serve_flyweight_commit`].
+    /// Starts one flyweight COMMIT for client id `client`: same gate,
+    /// admission, and dirty-cache flush as [`NfsServer::handle_commit`].
     pub fn begin_flyweight_commit(&self, client: usize) -> FlyweightOp {
         self.slim_ops.inc();
         FlyweightOp::new(client, FlyKind::Commit, 0, self.sim.now())
     }
 
-    /// Advances a flyweight op until it parks, needs simulated time, or
-    /// finishes. On [`FlyStep::Parked`] the op has parked a waker built
-    /// by `waker_factory` in one of the server's wait queues — poll again
-    /// when it fires. On [`FlyStep::Sleep`] the caller models that much
-    /// service or disk-transfer time and polls again. Every queue
-    /// transition replays the async methods exactly (same checkpoint
-    /// gate, scheduler queue, NVRAM stalls, dirty-cache flushes, counter
-    /// order), so task-served and event-served flyweights interleave
-    /// bit-identically.
+    /// The flyweight tier's one service machine: advances an op until it
+    /// parks, needs simulated time, or finishes. On [`FlyStep::Parked`]
+    /// the op has parked a waker built by `waker_factory` in one of the
+    /// server's wait queues — poll again when it fires. On
+    /// [`FlyStep::Sleep`] the caller models that much service or
+    /// disk-transfer time and polls again. Each wait is the same poll
+    /// machine the faithful handlers' `async` calls drive (checkpoint
+    /// gate, scheduler queue, NVRAM, disk arm), so flyweights and
+    /// faithful requests queue together in one order.
     pub fn poll_flyweight(
         &self,
         op: &mut FlyweightOp,
@@ -582,8 +511,7 @@ impl NfsServer {
             match op.stage {
                 FlyStage::Gate => {
                     // Checkpoint pause happens before service; once
-                    // passed, the gate is never re-checked (a task past
-                    // `pass().await` does not return to it either).
+                    // passed, the gate is never re-checked.
                     if let Backend::Filer { checkpoint, .. } = &self.backend {
                         if !checkpoint.poll_pass(&mut op.gate, waker_factory) {
                             return FlyStep::Parked;
@@ -631,9 +559,9 @@ impl NfsServer {
                             inline_flushes,
                         },
                     ) => {
-                        // Flush sizing and the stat bump happen once, on
-                        // entry, before any wait on the arm — exactly
-                        // where the async method reads `dirty`.
+                        // bdflush pressure: flush half the cache inline.
+                        // Sizing and the stat bump happen once, on entry,
+                        // before any wait on the arm.
                         if !op.backend_entered {
                             op.backend_entered = true;
                             if dirty.get() + op.bytes > *dirty_cap {
@@ -660,9 +588,8 @@ impl NfsServer {
                     }
                     (FlyKind::Commit, Backend::CacheDisk { dirty, disk, .. }) => {
                         // Claim the dirty pool once, before touching the
-                        // disk — the same single `dirty.replace(0)` the
-                        // async method performs (see handle_commit for
-                        // why claiming first matters).
+                        // disk (see handle_commit for why claiming first
+                        // matters).
                         if !op.backend_entered {
                             op.backend_entered = true;
                             op.flush = dirty.replace(0);
@@ -708,8 +635,8 @@ impl NfsServer {
                             self.slim_commits.inc();
                         }
                     }
-                    // Counters first, slot release last: the async
-                    // methods bump stats and then drop `_svc` on return.
+                    // Counters first, slot release last, as in the
+                    // faithful handlers, where `_svc` drops on return.
                     op.slot = None;
                     op.stage = FlyStage::Done;
                     return FlyStep::Done;

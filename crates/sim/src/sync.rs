@@ -11,10 +11,16 @@
 //! - [`Gate`] — a barrier that can be closed to stall passers (used for the
 //!   filer's checkpoint pauses).
 //! - [`channel`] — an unbounded single-consumer queue (NIC receive queues).
+//!
+//! Every wait point shared by tasks and taskless state machines has one
+//! implementation, a poll machine (`poll_*`) that parks a caller-built
+//! waker. The `async` method is that machine driven by
+//! [`poll_machine`], so both kinds of waiter follow the same queue
+//! discipline by construction.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::future::Future;
+use std::future::{poll_fn, Future};
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
@@ -86,6 +92,20 @@ impl NodePool {
             free.push(node);
         }
     }
+}
+
+/// Runs a poll machine as a future: each poll hands `machine` the
+/// polling task's waker as its waker factory, and the future completes
+/// with the machine's first `Some`.
+///
+/// This is how every shared wait point's `async` method is built from
+/// its `poll_*` machine (for example `Semaphore::acquire` from
+/// [`Semaphore::poll_acquire`]). The future is the bare closure, so a
+/// wait point costs its callers' futures only the machine's state.
+pub fn poll_machine<T>(
+    mut machine: impl FnMut(&mut dyn FnMut() -> Waker) -> Option<T>,
+) -> impl Future<Output = T> {
+    poll_fn(move |cx| machine(&mut || cx.waker().clone()).map_or(Poll::Pending, Poll::Ready))
 }
 
 /// A FIFO wait queue, analogous to a kernel `wait_queue_head_t`.
@@ -463,30 +483,11 @@ impl Semaphore {
         }
     }
 
-    /// Acquires one permit, sleeping FIFO-fair until one is available.
-    pub async fn acquire(self: &Rc<Self>) -> SemPermit {
-        // Fast path: free permit and nobody queued ahead of us.
-        if self.permits.get() > 0 && self.queue.is_empty() {
-            self.permits.set(self.permits.get() - 1);
-            return SemPermit {
-                sem: Rc::clone(self),
-                live: true,
-            };
-        }
-        loop {
-            // Each `release_one` wakes exactly the head waiter, so being
-            // woken means it is our turn; re-checking only the permit count
-            // (not queue emptiness) avoids re-queueing behind later waiters
-            // and losing the wake.
-            self.queue.wait().await;
-            if self.permits.get() > 0 {
-                self.permits.set(self.permits.get() - 1);
-                return SemPermit {
-                    sem: Rc::clone(self),
-                    live: true,
-                };
-            }
-        }
+    /// Acquires one permit, sleeping FIFO-fair until one is available:
+    /// [`Semaphore::poll_acquire`] driven by the calling task.
+    pub fn acquire(self: &Rc<Self>) -> impl Future<Output = SemPermit> + '_ {
+        let mut st = SemAcquire::default();
+        poll_machine(move |wf| self.poll_acquire(&mut st, wf))
     }
 
     /// Takes a permit if one is free, without waiting.
@@ -508,14 +509,14 @@ impl Semaphore {
         self.queue.wake_one();
     }
 
-    /// Poll-style [`Semaphore::acquire`] for taskless state machines.
+    /// The semaphore's one acquisition machine; [`Semaphore::acquire`]
+    /// is this machine driven by a task.
     ///
     /// Call with a fresh [`SemAcquire`] state; returns `Some(permit)` when
     /// the permit is taken, or `None` after parking a waker from
-    /// `waker_factory` (call again when it fires). The waiting discipline
-    /// — fast path only before the first park, then re-checking only the
-    /// permit count on each wake — is byte-for-byte the discipline of the
-    /// async method, and both kinds of waiter share one FIFO queue.
+    /// `waker_factory` (call again when it fires). The fast path applies
+    /// only before the first park; after that each wake re-checks only
+    /// the permit count. Tasks and taskless callers share one FIFO queue.
     ///
     /// The factory is only invoked when the machine actually parks, so
     /// fast-path acquisitions arm no event.
@@ -544,6 +545,10 @@ impl Semaphore {
                 w.park(waker_factory());
                 return None;
             }
+            // Each `release_one` wakes exactly the head waiter, so being
+            // woken means it is our turn; re-checking only the permit count
+            // (not queue emptiness) avoids re-queueing behind later waiters
+            // and losing the wake.
             st.wait = None;
             if self.permits.get() > 0 {
                 self.permits.set(self.permits.get() - 1);
@@ -621,19 +626,19 @@ impl Gate {
         self.closed.get()
     }
 
-    /// Waits until the gate is open (returns immediately if it is).
-    pub async fn pass(&self) {
-        while self.closed.get() {
-            self.queue.wait().await;
-        }
+    /// Waits until the gate is open (returns immediately if it is):
+    /// [`Gate::poll_pass`] driven by the calling task.
+    pub fn pass(&self) -> impl Future<Output = ()> + '_ {
+        let mut st = GatePass::default();
+        poll_machine(move |wf| self.poll_pass(&mut st, wf).then_some(()))
     }
 
-    /// Poll-style [`Gate::pass`] for taskless state machines: `true` once
-    /// through the gate, `false` after parking a waker from
-    /// `waker_factory` (call again when it fires). Replicates the async
-    /// `while closed { wait().await }` loop — including re-registering
-    /// behind later arrivals if the gate closed again before the wake was
-    /// observed — and shares the same FIFO queue as async passers.
+    /// The gate's one passing machine; [`Gate::pass`] is this machine
+    /// driven by a task. Returns `true` once through the gate, `false`
+    /// after parking a waker from `waker_factory` (call again when it
+    /// fires). Every wake re-checks the gate, so a passer that finds it
+    /// closed again before observing the wake re-registers behind later
+    /// arrivals.
     pub fn poll_pass(&self, st: &mut GatePass, waker_factory: &mut dyn FnMut() -> Waker) -> bool {
         if let Some(w) = st.wait.as_ref() {
             if !w.is_woken() {
@@ -653,8 +658,7 @@ impl Gate {
 }
 
 /// In-flight state for [`Semaphore::poll_acquire`]; `Default` is the
-/// not-yet-started state. Dropping it mid-wait cancels the queue slot,
-/// exactly as dropping the async future would.
+/// not-yet-started state. Dropping it mid-wait cancels the queue slot.
 #[derive(Default)]
 pub struct SemAcquire {
     wait: Option<WaitFuture>,

@@ -304,7 +304,7 @@ fn cmd_figures(mut args: Args) -> Result<(), String> {
     // Phased work-list: every exhibit split into its independent worlds
     // (one cell per throughput point, histogram half, table entry, ...)
     // so the pool always has work; `assemble_exhibits` pairs the parts
-    // back into CSVs byte-identical to the monolithic exhibits.
+    // back into one CSV per exhibit.
     let cells = figures::exhibit_cells(&sizes);
     eprintln!("rendering {} exhibit cells on {} worker(s) ...", cells.len(), jobs);
     let parts = runner::run_cells(jobs, cells);

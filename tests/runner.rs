@@ -3,12 +3,9 @@
 //! the cells run serially or fanned across workers, because cells are
 //! isolated `Sim` worlds and results are collected in work-list order.
 
-use nfsperf_experiments::{
-    assemble_qos_rows, figures, fleet_sweep, qos_cells, qos_run_cells, qos_sweep, QosSweep,
-    ServerKind,
-};
+use nfsperf_experiments::{fleet_sweep, qos_sweep, ServerKind};
 use nfsperf_server::SchedPolicy;
-use nfsperf_sim::proptest::{check, check_with, CaseOutcome, Config};
+use nfsperf_sim::proptest::{check, CaseOutcome};
 use nfsperf_sim::{prop_assert_eq, run_cells, Cell, Sim, SimDuration};
 use nfsperf_sunrpc::Transport;
 
@@ -78,52 +75,6 @@ fn randomized_worklists_match_serial_at_any_jobs() {
             let serial = run_cells(1, make());
             let parallel = run_cells(*jobs, make());
             prop_assert_eq!(&serial, &parallel);
-            CaseOutcome::Pass
-        },
-    );
-}
-
-/// Property: splitting a sweep into fine-grained phased cells is
-/// invisible in the output. For randomized `--jobs` in 1..=8, the
-/// phased qos work-list ([`qos_run_cells`] + [`assemble_qos_rows`]) and
-/// the phased figure work-list ([`figures::exhibit_cells_with`] +
-/// [`figures::assemble_exhibits`]) render byte-identical CSVs to the
-/// pre-split monolithic cell lists they replaced.
-#[test]
-fn phased_cells_render_identical_csvs_to_monolithic() {
-    // Tiny worlds: uniform 256 KB exhibits and two sub-MB figure-sweep
-    // sizes keep a full phased-vs-monolithic double run cheap enough to
-    // repeat for a handful of randomized jobs values.
-    let sizes = [128 << 10, 256 << 10];
-    let ex = figures::ExhibitSizes::uniform(256 << 10);
-    let scheds = [SchedPolicy::Fifo, SchedPolicy::classed_drr()];
-    let servers = [ServerKind::Filer];
-    let config = Config {
-        cases: 4,
-        ..Config::from_env()
-    };
-    check_with(
-        &config,
-        "phased_cells_render_identical_csvs_to_monolithic",
-        |g| g.usize_in(1, 9),
-        |&jobs| {
-            let csv = |rows| {
-                QosSweep {
-                    rows,
-                    victims: 2,
-                    bytes_per_victim: 256 << 10,
-                }
-                .to_csv()
-            };
-            let mono_rows = run_cells(jobs, qos_cells(&servers, &scheds, 2, 256 << 10));
-            let phased_runs = run_cells(jobs, qos_run_cells(&servers, &scheds, 2, 256 << 10));
-            let phased_rows = assemble_qos_rows(&servers, &scheds, 2, phased_runs);
-            prop_assert_eq!(&csv(mono_rows), &csv(phased_rows));
-
-            let mono = run_cells(jobs, figures::monolithic_exhibit_cells_with(&sizes, ex));
-            let parts = run_cells(jobs, figures::exhibit_cells_with(&sizes, ex));
-            let phased = figures::assemble_exhibits(&sizes, parts);
-            prop_assert_eq!(&mono, &phased);
             CaseOutcome::Pass
         },
     );
