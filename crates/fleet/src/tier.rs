@@ -14,6 +14,13 @@
 //! which emits the next requests — so the record slab tracks in-flight
 //! RPCs, not client count.
 //!
+//! A million-client launch burst holds a million records at once, so a
+//! record keeps only what cannot be derived (80 bytes): its client, op,
+//! stage, emission time, free-list link and one [`Hop`] — the lane
+//! admission *or* the server op, whichever the stage says is live.
+//! Datagram sizes follow from `(op, stage)`, and the record's waker is
+//! built on demand from its index ([`Sim::direct_waker`]).
+//!
 //! Per-client serialization that a real NIC would impose (receive drain
 //! at the server port, transmit of the reply, receive at the client) is
 //! modelled with virtual clocks: `free = max(now, free) + drain_time`,
@@ -22,7 +29,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
-use std::task::Waker;
 
 use nfsperf_net::{wire_bytes, Fabric, LaneAdmit, LinkDir, NicSpec};
 use nfsperf_server::{FlyStep, FlyweightOp, NfsServer};
@@ -173,49 +179,69 @@ enum RpcStage {
     Complete,
 }
 
+impl RpcStage {
+    /// Whether the record carries the reply (the server has answered).
+    fn is_reply(self) -> bool {
+        self as u8 > RpcStage::Service as u8
+    }
+}
+
+/// The hop an RPC is traversing. A record is never queued at a fabric
+/// lane and in the server at once, so one variant holds whichever is
+/// live: [`Hop::Server`] from [`RpcStage::Service`] entry until the
+/// reply starts its core admission, [`Hop::Lane`] otherwise. The tag
+/// costs no bytes (it sits in a niche of the server op).
+enum Hop {
+    /// Admission scratch for the fabric lane being traversed.
+    Lane(LaneAdmit),
+    /// The server-side op.
+    Server(FlyweightOp),
+}
+
+impl Hop {
+    fn lane(&mut self) -> &mut LaneAdmit {
+        match self {
+            Hop::Lane(lane) => lane,
+            Hop::Server(_) => unreachable!("a lane stage holds a lane admission"),
+        }
+    }
+}
+
+/// Payload and wire bytes of one datagram kind.
+#[derive(Clone, Copy)]
+struct Datagram {
+    payload: usize,
+    wire: usize,
+}
+
 /// One in-flight event-driven RPC. Records live in a free-listed slab
 /// sized by peak concurrent RPCs. Transient, so not part of the tier's
 /// resident per-client accounting ([`FlyTier::bytes_per_client`]).
+///
+/// Everything derivable is left out: the datagram sizes follow from
+/// `(op, stage)` ([`FlyTier::datagram`]), and the waker that parks the
+/// record is built on demand from its index ([`Sim::direct_waker`]).
 struct FlyRpc {
-    /// Owning client's tier index.
-    idx: u32,
-    /// The RPC's emission sequence number for that client.
-    seq: u32,
-    /// Free-list link (`u32::MAX` = end).
-    next_free: u32,
-    /// Wire bytes of the current datagram (request, then reply).
-    wire: u32,
-    /// UDP payload bytes of the current datagram.
-    payload: u32,
-    op: FlyOp,
-    stage: RpcStage,
     /// When the request left the client (latency numerator start).
     emitted_at: SimTime,
-    /// Admission scratch for the hop currently being traversed.
-    lane: LaneAdmit,
-    /// The server-side op, live from [`RpcStage::Service`] entry.
-    srv: Option<FlyweightOp>,
-    /// Direct waker dispatching `step(record index)`, built once when
-    /// the record first exists and reused by every park of every RPC
-    /// that ever occupies it (the index never changes): parking is one
-    /// waker clone, waking one ready-queue push.
-    waker: Option<Waker>,
+    /// Owning client's tier index.
+    idx: u32,
+    /// Free-list link (`u32::MAX` = end).
+    next_free: u32,
+    op: FlyOp,
+    stage: RpcStage,
+    hop: Hop,
 }
 
 impl FlyRpc {
     fn vacant() -> FlyRpc {
         FlyRpc {
+            emitted_at: SimTime::ZERO,
             idx: 0,
-            seq: 0,
             next_free: u32::MAX,
-            wire: 0,
-            payload: 0,
             op: FlyOp::Write,
             stage: RpcStage::Start,
-            emitted_at: SimTime::ZERO,
-            lane: LaneAdmit::start(SimTime::ZERO),
-            srv: None,
-            waker: None,
+            hop: Hop::Lane(LaneAdmit::start(SimTime::ZERO)),
         }
     }
 }
@@ -236,6 +262,9 @@ pub struct FlyTier {
     fabric: Rc<Fabric>,
     config: FlyTierConfig,
     model: BehaviorModel,
+    /// Datagram sizes by [`FlyTier::datagram`]'s index: request WRITE,
+    /// request COMMIT, reply WRITE, reply COMMIT.
+    datagrams: [Datagram; 4],
     window: u32,
     total_ops: u32,
     fabric_base: u32,
@@ -287,12 +316,23 @@ impl FlyTier {
         assert!(total_ops > 0, "clients must emit at least one RPC");
         let finished = Gate::new();
         finished.close();
+        let datagram = |payload, nic: NicSpec| Datagram {
+            payload,
+            wire: wire_bytes(payload, nic.mtu),
+        };
+        let datagrams = [
+            datagram(model.write_wire_bytes, config.client_nic),
+            datagram(model.commit_wire_bytes, config.client_nic),
+            datagram(WRITE_REPLY_BYTES, config.port_nic),
+            datagram(COMMIT_REPLY_BYTES, config.port_nic),
+        ];
         let tier = Rc::new_cyclic(|tier: &Weak<FlyTier>| FlyTier {
             sim: sim.clone(),
             server: Rc::clone(server),
             fabric: Rc::clone(fabric),
             config,
             model,
+            datagrams,
             window,
             total_ops,
             fabric_base,
@@ -335,7 +375,7 @@ impl FlyTier {
     /// as the close-time flush does.
     fn try_emit(self: &Rc<Self>, idx: u32) {
         loop {
-            let (seq, at) = {
+            let (op, at) = {
                 let mut slab = self.slab.borrow_mut();
                 let c = &mut slab[idx as usize];
                 if c.emitted >= self.total_ops {
@@ -345,9 +385,8 @@ impl FlyTier {
                 if inflight >= self.window {
                     return;
                 }
-                if self.model.op_at(c.emitted, self.config.writes_per_client) == FlyOp::Commit
-                    && inflight > 0
-                {
+                let op = self.model.op_at(c.emitted, self.config.writes_per_client);
+                if op == FlyOp::Commit && inflight > 0 {
                     return;
                 }
                 let at = c.planned.max(self.sim.now().as_nanos());
@@ -355,26 +394,21 @@ impl FlyTier {
                 if c.emitted == 0 {
                     c.first_emit = at;
                 }
-                let seq = c.emitted;
                 c.emitted += 1;
-                (seq, at)
+                (op, at)
             };
-            let r = self.alloc_rpc(idx, seq, SimTime(at));
+            let r = self.alloc_rpc(idx, op, SimTime(at));
             self.sim.post_event(self.handler, u64::from(r));
         }
     }
 
     /// Claims (or grows) an RPC record for one emission.
-    fn alloc_rpc(&self, idx: u32, seq: u32, at: SimTime) -> u32 {
+    fn alloc_rpc(&self, idx: u32, op: FlyOp, at: SimTime) -> u32 {
         let mut rpcs = self.rpcs.borrow_mut();
         let r = match rpcs.free_head {
             u32::MAX => {
-                let r = rpcs.slots.len() as u32;
-                let mut slot = FlyRpc::vacant();
-                // Built once per record; the index (the waker's payload)
-                // never changes, so every later RPC in this slot reuses it.
-                slot.waker = Some(self.sim.direct_waker(self.handler, r));
-                rpcs.slots.push(slot);
+                let r = u32::try_from(rpcs.slots.len()).expect("RPC records exceed 32 bits");
+                rpcs.slots.push(FlyRpc::vacant());
                 r
             }
             head => {
@@ -383,17 +417,18 @@ impl FlyTier {
             }
         };
         let rpc = &mut rpcs.slots[r as usize];
-        rpc.idx = idx;
-        rpc.seq = seq;
-        rpc.next_free = u32::MAX;
-        rpc.wire = 0;
-        rpc.payload = 0;
-        rpc.op = FlyOp::Write;
-        rpc.stage = RpcStage::Start;
         rpc.emitted_at = at;
-        rpc.lane = LaneAdmit::start(at);
-        rpc.srv = None;
+        rpc.idx = idx;
+        rpc.next_free = u32::MAX;
+        rpc.op = op;
+        rpc.stage = RpcStage::Start;
         r
+    }
+
+    /// The datagram `rpc` is carrying: its request until the server
+    /// answers, then the reply.
+    fn datagram(&self, rpc: &FlyRpc) -> Datagram {
+        self.datagrams[rpc.op as usize + 2 * usize::from(rpc.stage.is_reply())]
     }
 
     /// Schedules RPC `data`'s next dispatch at `deadline` and returns
@@ -418,14 +453,12 @@ impl FlyTier {
         let data = u64::from(r);
         let mut rpcs = self.rpcs.borrow_mut();
         let rpc = &mut rpcs.slots[r as usize];
-        // Every park hands out a clone of the record's cached direct
-        // waker: no slab arm, no generation — safe because each park is
-        // woken at most once and the record cannot advance past the
-        // parked stage until that wake dispatches.
-        let waker = rpc.waker.clone().expect("rpc record waker");
-        let mut wf = move || waker.clone();
+        // Every park hands out a direct waker for this record, built on
+        // demand from its index: no slab arm, no generation — safe
+        // because each park is woken at most once and the record cannot
+        // advance past the parked stage until that wake dispatches.
+        let mut wf = || self.sim.direct_waker(h, r);
         let flow = self.fabric_base + rpc.idx;
-        let wire = |rpc: &FlyRpc| rpc.wire as usize;
         loop {
             match rpc.stage {
                 RpcStage::Start => {
@@ -436,24 +469,17 @@ impl FlyTier {
                     }
                 }
                 RpcStage::Launch => {
-                    rpc.op = self.model.op_at(rpc.seq, self.config.writes_per_client);
-                    let payload = match rpc.op {
-                        FlyOp::Write => self.model.write_wire_bytes,
-                        FlyOp::Commit => self.model.commit_wire_bytes,
-                    };
-                    rpc.payload = payload as u32;
-                    rpc.wire = wire_bytes(payload, self.config.client_nic.mtu) as u32;
-                    rpc.lane = LaneAdmit::start(self.sim.now());
+                    rpc.hop = Hop::Lane(LaneAdmit::start(self.sim.now()));
                     rpc.stage = RpcStage::AggAdmit;
                 }
                 RpcStage::AggAdmit => {
                     let agg = self.fabric.agg_of(flow);
-                    let w = wire(rpc);
-                    if !agg.poll_admit(&mut rpc.lane, LinkDir::ToServer, flow, w, &mut wf) {
+                    let wire = self.datagram(rpc).wire;
+                    if !agg.poll_admit(rpc.hop.lane(), LinkDir::ToServer, flow, wire, &mut wf) {
                         return;
                     }
                     rpc.stage = RpcStage::AggXfer;
-                    let done = self.sim.now() + agg.spec().transfer_time(wire(rpc));
+                    let done = self.sim.now() + agg.spec().transfer_time(wire);
                     if self.sleep_then(done, data) {
                         return;
                     }
@@ -461,18 +487,18 @@ impl FlyTier {
                 RpcStage::AggXfer => {
                     self.fabric
                         .agg_of(flow)
-                        .finish_traverse(LinkDir::ToServer, rpc.payload as usize);
-                    rpc.lane = LaneAdmit::start(self.sim.now());
+                        .finish_traverse(LinkDir::ToServer, self.datagram(rpc).payload);
+                    rpc.hop = Hop::Lane(LaneAdmit::start(self.sim.now()));
                     rpc.stage = RpcStage::CoreAdmit;
                 }
                 RpcStage::CoreAdmit => {
                     let core = self.fabric.core();
-                    let w = wire(rpc);
-                    if !core.poll_admit(&mut rpc.lane, LinkDir::ToServer, flow, w, &mut wf) {
+                    let wire = self.datagram(rpc).wire;
+                    if !core.poll_admit(rpc.hop.lane(), LinkDir::ToServer, flow, wire, &mut wf) {
                         return;
                     }
                     rpc.stage = RpcStage::CoreXfer;
-                    let done = self.sim.now() + core.spec().transfer_time(wire(rpc));
+                    let done = self.sim.now() + core.spec().transfer_time(wire);
                     if self.sleep_then(done, data) {
                         return;
                     }
@@ -480,7 +506,7 @@ impl FlyTier {
                 RpcStage::CoreXfer => {
                     self.fabric
                         .core()
-                        .finish_traverse(LinkDir::ToServer, rpc.payload as usize);
+                        .finish_traverse(LinkDir::ToServer, self.datagram(rpc).payload);
                     rpc.stage = RpcStage::PortDrain;
                     let woke = self.sim.now() + self.fabric.latency();
                     if self.sleep_then(woke, data) {
@@ -488,8 +514,9 @@ impl FlyTier {
                     }
                 }
                 RpcStage::PortDrain => {
+                    let wire = self.datagram(rpc).wire;
                     let drained =
-                        self.advance_clock(rpc.idx, ClockId::PortRx, self.config.port_nic, wire(rpc));
+                        self.advance_clock(rpc.idx, ClockId::PortRx, self.config.port_nic, wire);
                     rpc.stage = RpcStage::HandOff;
                     if self.sleep_then(drained, data) {
                         return;
@@ -505,13 +532,18 @@ impl FlyTier {
                     return;
                 }
                 RpcStage::Service => {
-                    let client = self.server_base + rpc.idx as usize;
-                    let op_kind = rpc.op;
-                    let payload = self.model.write_payload;
-                    let srv = rpc.srv.get_or_insert_with(|| match op_kind {
-                        FlyOp::Write => self.server.begin_flyweight_write(client, payload),
-                        FlyOp::Commit => self.server.begin_flyweight_commit(client),
-                    });
+                    if let Hop::Lane(_) = rpc.hop {
+                        let client = self.server_base + rpc.idx as usize;
+                        rpc.hop = Hop::Server(match rpc.op {
+                            FlyOp::Write => self
+                                .server
+                                .begin_flyweight_write(client, self.model.write_payload),
+                            FlyOp::Commit => self.server.begin_flyweight_commit(client),
+                        });
+                    }
+                    let Hop::Server(srv) = &mut rpc.hop else {
+                        unreachable!("the service stage holds a server op")
+                    };
                     loop {
                         match self.server.poll_flyweight(srv, &mut wf) {
                             FlyStep::Parked => return,
@@ -524,32 +556,26 @@ impl FlyTier {
                             FlyStep::Done => break,
                         }
                     }
-                    rpc.srv = None;
-                    let reply_payload = match rpc.op {
-                        FlyOp::Write => WRITE_REPLY_BYTES,
-                        FlyOp::Commit => COMMIT_REPLY_BYTES,
-                    };
-                    rpc.payload = reply_payload as u32;
-                    rpc.wire = wire_bytes(reply_payload, self.config.port_nic.mtu) as u32;
-                    let sent =
-                        self.advance_clock(rpc.idx, ClockId::PortTx, self.config.port_nic, wire(rpc));
                     rpc.stage = RpcStage::CoreRStart;
+                    let wire = self.datagram(rpc).wire;
+                    let sent =
+                        self.advance_clock(rpc.idx, ClockId::PortTx, self.config.port_nic, wire);
                     if self.sleep_then(sent, data) {
                         return;
                     }
                 }
                 RpcStage::CoreRStart => {
-                    rpc.lane = LaneAdmit::start(self.sim.now());
+                    rpc.hop = Hop::Lane(LaneAdmit::start(self.sim.now()));
                     rpc.stage = RpcStage::CoreRAdmit;
                 }
                 RpcStage::CoreRAdmit => {
                     let core = self.fabric.core();
-                    let w = wire(rpc);
-                    if !core.poll_admit(&mut rpc.lane, LinkDir::ToClients, flow, w, &mut wf) {
+                    let wire = self.datagram(rpc).wire;
+                    if !core.poll_admit(rpc.hop.lane(), LinkDir::ToClients, flow, wire, &mut wf) {
                         return;
                     }
                     rpc.stage = RpcStage::CoreRXfer;
-                    let done = self.sim.now() + core.spec().transfer_time(wire(rpc));
+                    let done = self.sim.now() + core.spec().transfer_time(wire);
                     if self.sleep_then(done, data) {
                         return;
                     }
@@ -557,18 +583,18 @@ impl FlyTier {
                 RpcStage::CoreRXfer => {
                     self.fabric
                         .core()
-                        .finish_traverse(LinkDir::ToClients, rpc.payload as usize);
-                    rpc.lane = LaneAdmit::start(self.sim.now());
+                        .finish_traverse(LinkDir::ToClients, self.datagram(rpc).payload);
+                    rpc.hop = Hop::Lane(LaneAdmit::start(self.sim.now()));
                     rpc.stage = RpcStage::AggRAdmit;
                 }
                 RpcStage::AggRAdmit => {
                     let agg = self.fabric.agg_of(flow);
-                    let w = wire(rpc);
-                    if !agg.poll_admit(&mut rpc.lane, LinkDir::ToClients, flow, w, &mut wf) {
+                    let wire = self.datagram(rpc).wire;
+                    if !agg.poll_admit(rpc.hop.lane(), LinkDir::ToClients, flow, wire, &mut wf) {
                         return;
                     }
                     rpc.stage = RpcStage::AggRXfer;
-                    let done = self.sim.now() + agg.spec().transfer_time(wire(rpc));
+                    let done = self.sim.now() + agg.spec().transfer_time(wire);
                     if self.sleep_then(done, data) {
                         return;
                     }
@@ -576,7 +602,7 @@ impl FlyTier {
                 RpcStage::AggRXfer => {
                     self.fabric
                         .agg_of(flow)
-                        .finish_traverse(LinkDir::ToClients, rpc.payload as usize);
+                        .finish_traverse(LinkDir::ToClients, self.datagram(rpc).payload);
                     rpc.stage = RpcStage::CliDrain;
                     let woke = self.sim.now() + self.fabric.latency();
                     if self.sleep_then(woke, data) {
@@ -584,12 +610,9 @@ impl FlyTier {
                     }
                 }
                 RpcStage::CliDrain => {
-                    let drained = self.advance_clock(
-                        rpc.idx,
-                        ClockId::CliRx,
-                        self.config.client_nic,
-                        wire(rpc),
-                    );
+                    let wire = self.datagram(rpc).wire;
+                    let drained =
+                        self.advance_clock(rpc.idx, ClockId::CliRx, self.config.client_nic, wire);
                     rpc.stage = RpcStage::Complete;
                     if self.sleep_then(drained, data) {
                         return;
@@ -601,11 +624,11 @@ impl FlyTier {
         // Free the record before completing: `try_emit` inside
         // `complete` may immediately reuse it for this client's next
         // emission, and `complete` must see the slab borrow released.
-        let (idx, seq, emitted_at, op) = (rpc.idx, rpc.seq, rpc.emitted_at, rpc.op);
+        let (idx, emitted_at, op) = (rpc.idx, rpc.emitted_at, rpc.op);
         rpcs.slots[r as usize].next_free = rpcs.free_head;
         rpcs.free_head = r;
         drop(rpcs);
-        self.complete(idx, seq, emitted_at, op);
+        self.complete(idx, emitted_at, op);
     }
 
     /// Advances one of a client's virtual NIC clocks by `spec`'s
@@ -624,7 +647,7 @@ impl FlyTier {
         SimTime(free)
     }
 
-    fn complete(self: &Rc<Self>, idx: u32, _seq: u32, emitted_at: SimTime, op: FlyOp) {
+    fn complete(self: &Rc<Self>, idx: u32, emitted_at: SimTime, op: FlyOp) {
         let now = self.sim.now();
         let finished_client = {
             let mut slab = self.slab.borrow_mut();
@@ -715,7 +738,7 @@ mod tests {
     use super::*;
     use crate::model::GAP_QUANTILES;
     use nfsperf_net::FabricConfig;
-    use nfsperf_server::{ServerConfig, ServerStats, SlimTierStats};
+    use nfsperf_server::{BackendConfig, ServerConfig, ServerStats, SlimTierStats};
 
     fn toy_model() -> BehaviorModel {
         BehaviorModel {
@@ -882,7 +905,7 @@ mod tests {
         // Not resident per client, but one per in-flight RPC: at a
         // million clients the launch burst holds a million of them.
         assert!(
-            std::mem::size_of::<FlyRpc>() <= 216,
+            std::mem::size_of::<FlyRpc>() <= 80,
             "FlyRpc grew to {} bytes",
             std::mem::size_of::<FlyRpc>()
         );
@@ -939,6 +962,160 @@ mod tests {
         let (tier2, server2, _) = run(nfsperf_net::PortPolicy::drr());
         assert_eq!(tier.per_client_mbps(), tier2.per_client_mbps());
         assert_eq!(server.slim_stats(), server2.slim_stats());
+    }
+
+    /// Where parked records were seen queued, by hop kind: agg lane,
+    /// core lane, then the server's checkpoint gate, service queue,
+    /// NVRAM and disk arm.
+    type Census = [u64; 6];
+
+    /// Checks that every record holds state for its current hop only —
+    /// a lane ticket only while queued at a lane, a server op only in
+    /// service (or just done), nothing at all while on the free list —
+    /// and adds every record holding a queue entry to `seen`. Returns
+    /// how many records are on the free list.
+    fn audit_records(tier: &FlyTier, seen: &mut Census) -> usize {
+        use nfsperf_server::WaitPoint;
+        let rpcs = tier.rpcs.borrow();
+        let mut free = vec![false; rpcs.slots.len()];
+        let mut link = rpcs.free_head;
+        while link != u32::MAX {
+            assert!(!free[link as usize], "free list cycles");
+            free[link as usize] = true;
+            link = rpcs.slots[link as usize].next_free;
+        }
+        for (r, rpc) in rpcs.slots.iter().enumerate() {
+            let admitting = matches!(
+                rpc.stage,
+                RpcStage::AggAdmit
+                    | RpcStage::CoreAdmit
+                    | RpcStage::CoreRAdmit
+                    | RpcStage::AggRAdmit
+            );
+            let kind = match &rpc.hop {
+                Hop::Lane(lane) if !lane.is_queued() => continue,
+                Hop::Lane(_) => {
+                    assert!(admitting && !free[r], "record {r} kept a lane ticket");
+                    match rpc.stage {
+                        RpcStage::AggAdmit | RpcStage::AggRAdmit => 0,
+                        _ => 1,
+                    }
+                }
+                Hop::Server(op) => {
+                    let done = rpc.stage == RpcStage::CoreRStart && op.is_done();
+                    assert!(
+                        (rpc.stage == RpcStage::Service || done) && !free[r],
+                        "record {r} kept its server op past the server"
+                    );
+                    match op.queued_at() {
+                        None => continue,
+                        Some(WaitPoint::Checkpoint) => 2,
+                        Some(WaitPoint::Service) => 3,
+                        Some(WaitPoint::Nvram) => 4,
+                        Some(WaitPoint::DiskArm) => 5,
+                    }
+                }
+            };
+            seen[kind] += 1;
+        }
+        free.iter().filter(|&&f| f).count()
+    }
+
+    /// Runs a tier of `clients` all launched at once against `config`,
+    /// auditing the records every 20 µs and once more at the end, when
+    /// every record must be back on the free list, the server must have
+    /// nothing in service or queued, and every fabric lane must be idle
+    /// and empty.
+    fn run_and_audit(config: ServerConfig, clients: u32, seen: &mut Census) -> ServerStats {
+        let sim = Sim::new();
+        let server_nic = NicSpec::gigabit();
+        let fabric = Rc::new(Fabric::new(&sim, FabricConfig::new(server_nic)));
+        let server = NfsServer::new(&sim, config);
+        let model = BehaviorModel {
+            writes_per_commit: 3,
+            ..toy_model()
+        };
+        let tier_config = FlyTierConfig {
+            start_spread: SimDuration::ZERO,
+            ..FlyTierConfig::new(clients, 6, server_nic)
+        };
+        let tier = FlyTier::launch(&sim, &server, &fabric, model, tier_config);
+        let (t2, s2) = (Rc::clone(&tier), sim.clone());
+        let mut during = [0; 6];
+        during = sim.run_until(async move {
+            while t2.clients_done.get() < t2.config.clients {
+                audit_records(&t2, &mut during);
+                s2.sleep(SimDuration::from_micros(20)).await;
+            }
+            during
+        });
+        for (total, n) in seen.iter_mut().zip(during) {
+            *total += n;
+        }
+
+        let mut after = [0; 6];
+        let free = audit_records(&tier, &mut after);
+        assert_eq!(
+            free,
+            tier.rpcs.borrow().slots.len(),
+            "a record never went back on the free list"
+        );
+        assert_eq!(after, [0; 6], "a finished tier still holds queue entries");
+        let engine = server.service_engine();
+        assert_eq!((engine.in_flight(), engine.queued()), (0, 0));
+        let aggs = (0..fabric.agg_count()).map(|i| {
+            let first = (i * fabric.config().fanout) as u32;
+            fabric.agg_of(first)
+        });
+        for link in aggs.chain([fabric.core()]) {
+            for dir in [LinkDir::ToServer, LinkDir::ToClients] {
+                assert_eq!((link.queued(dir), link.is_busy(dir)), (0, false));
+            }
+        }
+        let stats = server.stats();
+        sim.teardown();
+        stats
+    }
+
+    /// Records are recycled through every kind of hop — both fabric
+    /// lanes and each server wait point — and a finished tier holds no
+    /// state from any of them. The filer is shrunk so its NVRAM fills
+    /// and checkpoints land mid-run; the knfsd's dirty cache is shrunk
+    /// so WRITEs flush inline and COMMITs queue for the disk arm.
+    #[test]
+    fn recycled_records_leave_no_state_behind() {
+        let mut seen = [0; 6];
+        let mut filer = ServerConfig::netapp_f85();
+        if let BackendConfig::Filer {
+            ref mut nvram_capacity,
+            ref mut checkpoint_interval,
+            ref mut checkpoint_duration,
+            ref mut checkpoint_offset,
+        } = filer.backend
+        {
+            *nvram_capacity = 64 * 1024;
+            *checkpoint_interval = SimDuration::from_millis(2);
+            *checkpoint_duration = SimDuration::from_millis(1);
+            *checkpoint_offset = SimDuration::from_micros(300);
+        }
+        let filer_stats = run_and_audit(filer, 96, &mut seen);
+        assert!(filer_stats.checkpoints > 0);
+
+        let mut knfsd = ServerConfig::linux_knfsd();
+        if let BackendConfig::CacheDisk {
+            ref mut dirty_cap, ..
+        } = knfsd.backend
+        {
+            *dirty_cap = 64 * 1024;
+        }
+        let knfsd_stats = run_and_audit(knfsd, 96, &mut seen);
+        assert!(knfsd_stats.inline_flushes > 0);
+        assert!(knfsd_stats.commits > 96, "COMMITs every third WRITE, plus close");
+
+        let kinds = ["agg lane", "core lane", "checkpoint", "service", "NVRAM", "disk arm"];
+        for (kind, n) in kinds.iter().zip(seen) {
+            assert!(n > 0, "no record was seen queued at the {kind}: {seen:?}");
+        }
     }
 
     #[test]

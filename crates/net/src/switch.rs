@@ -185,6 +185,12 @@ impl LaneAdmit {
             ticket: None,
         }
     }
+
+    /// Whether the admission holds a queued ticket (it is parked, or
+    /// woken and not yet polled).
+    pub fn is_queued(&self) -> bool {
+        self.ticket.is_some()
+    }
 }
 
 /// One full-duplex link shared by many paths — the server's uplink port.
@@ -326,6 +332,17 @@ impl SharedLink {
         lane.datagrams.inc();
         lane.busy.set(false);
         lane.kick();
+    }
+
+    /// Datagrams queued for the `dir` lane, not counting the one on the
+    /// wire.
+    pub fn queued(&self, dir: LinkDir) -> usize {
+        self.lanes[dir.lane()].sched.queued()
+    }
+
+    /// Whether a datagram holds the `dir` lane's serialization slot.
+    pub fn is_busy(&self, dir: LinkDir) -> bool {
+        self.lanes[dir.lane()].busy.get()
     }
 
     /// Payload bytes carried in `dir` (excluding framing).

@@ -74,25 +74,26 @@ impl DiskModel {
     /// Poll-style first half of [`DiskModel::write_stream`]: acquires
     /// the arm (parking a waker from `waker_factory` and returning
     /// `None` while it is held elsewhere) and, once held, returns the
-    /// permit plus the streaming transfer time. The caller models the
+    /// streaming transfer time. The caller keeps the arm, models the
     /// transfer itself and then calls [`DiskModel::finish_write`].
     pub fn poll_write_stream(
         &self,
         bytes: u64,
         st: &mut nfsperf_sim::SemAcquire,
         waker_factory: &mut dyn FnMut() -> std::task::Waker,
-    ) -> Option<(nfsperf_sim::SemPermit, SimDuration)> {
-        let permit = self.arm.poll_acquire(st, waker_factory)?;
-        Some((permit, self.transfer_time(bytes)))
+    ) -> Option<SimDuration> {
+        self.arm
+            .poll_acquire(st, waker_factory)
+            .then(|| self.transfer_time(bytes))
     }
 
     /// Completes a streaming write admitted by
     /// [`DiskModel::poll_write_stream`] after its transfer time elapsed:
     /// meters the bytes, then releases the arm — the same order as the
     /// async method (record while still holding the arm).
-    pub fn finish_write(&self, bytes: u64, permit: nfsperf_sim::SemPermit) {
+    pub fn finish_write(&self, bytes: u64) {
         self.meter.record(self.sim.now(), bytes);
-        drop(permit);
+        self.arm.release_one();
     }
 
     /// Poll-style [`DiskModel::barrier`]: `true` once the arm has been
@@ -102,7 +103,11 @@ impl DiskModel {
         st: &mut nfsperf_sim::SemAcquire,
         waker_factory: &mut dyn FnMut() -> std::task::Waker,
     ) -> bool {
-        self.arm.poll_acquire(st, waker_factory).is_some()
+        let held = self.arm.poll_acquire(st, waker_factory);
+        if held {
+            self.arm.release_one();
+        }
+        held
     }
 
     fn transfer_time(&self, bytes: u64) -> SimDuration {

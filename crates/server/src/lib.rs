@@ -24,7 +24,7 @@ pub use sched::{
 };
 pub use server::{
     BackendConfig, DiskKind, FlyStep, FlyweightOp, NfsServer, PerClientStats, ServerConfig,
-    ServerStats, SlimTierStats,
+    ServerStats, SlimTierStats, WaitPoint,
 };
 
 #[cfg(test)]
@@ -590,6 +590,35 @@ mod tests {
                 "{name}: simulated output moved"
             );
         }
+    }
+
+    /// One op is embedded in every in-flight flyweight RPC record, and a
+    /// million-client launch burst holds a million of them.
+    #[test]
+    fn flyweight_op_stays_compact() {
+        assert!(
+            std::mem::size_of::<FlyweightOp>() <= 64,
+            "FlyweightOp grew to {} bytes",
+            std::mem::size_of::<FlyweightOp>()
+        );
+    }
+
+    /// The op keeps its client id and payload in 32 bits; a value that
+    /// does not fit must fail loudly at the door, never wrap.
+    #[test]
+    #[should_panic(expected = "payload exceeds 32 bits")]
+    fn oversized_flyweight_write_panics() {
+        let sim = Sim::new();
+        let server = NfsServer::new(&sim, ServerConfig::slow_100bt());
+        let _ = server.begin_flyweight_write(0, 1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "client id exceeds 32 bits")]
+    fn out_of_range_flyweight_client_panics() {
+        let sim = Sim::new();
+        let server = NfsServer::new(&sim, ServerConfig::slow_100bt());
+        let _ = server.begin_flyweight_commit(1 << 32);
     }
 
     #[test]

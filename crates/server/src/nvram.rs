@@ -24,10 +24,10 @@ pub struct NvramAdmit {
 }
 
 impl NvramAdmit {
-    /// Resets to the not-yet-started state for reuse by the next RPC.
-    pub fn reset(&mut self) {
-        self.started = false;
-        self.wait = None;
+    /// Whether the machine holds a node in the log's space queue: it is
+    /// parked, or woken and not yet polled.
+    pub fn is_waiting(&self) -> bool {
+        self.wait.is_some()
     }
 }
 

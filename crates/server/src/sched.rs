@@ -702,20 +702,27 @@ impl ServiceEngine {
     /// the scheduler's next pick.
     pub fn admit(self: &Rc<Self>, meta: ReqMeta) -> impl Future<Output = SvcSlot> + '_ {
         let mut st = SvcAdmit::default();
-        poll_machine(move |wf| self.poll_admit(meta, &mut st, wf))
+        poll_machine(move |wf| {
+            self.poll_admit(meta, &mut st, wf).then(|| SvcSlot {
+                engine: Rc::clone(self),
+                meta,
+            })
+        })
     }
 
     /// The engine's one admission machine; [`ServiceEngine::admit`] is
-    /// this machine driven by a task. Returns `Some(slot)` once admitted,
-    /// `None` after parking a waker from `waker_factory` (call again when
-    /// it fires). Tasks and taskless callers share the one scheduler
-    /// queue, so mixed traffic is served in a single order.
+    /// this machine driven by a task, wrapping the slot in a [`SvcSlot`].
+    /// Returns `true` once admitted — the caller then holds a slot and
+    /// gives it back with [`ServiceEngine::release`], passing the same
+    /// `meta` — or `false` after parking a waker from `waker_factory`
+    /// (call again when it fires). Tasks and taskless callers share the
+    /// one scheduler queue, so mixed traffic is served in a single order.
     pub fn poll_admit(
-        self: &Rc<Self>,
+        &self,
         meta: ReqMeta,
         st: &mut SvcAdmit,
         waker_factory: &mut dyn FnMut() -> Waker,
-    ) -> Option<SvcSlot> {
+    ) -> bool {
         if !st.started {
             st.started = true;
             self.enqueued_bytes.add(meta.bytes);
@@ -724,10 +731,7 @@ impl ServiceEngine {
             // path, barging included).
             if self.free.get() > 0 && self.sched.queued() == 0 && self.sched.try_grant(&meta) {
                 self.take_slot(&meta);
-                return Some(SvcSlot {
-                    engine: Rc::clone(self),
-                    meta,
-                });
+                return true;
             }
             let ticket = Ticket::new(meta);
             self.sched.enqueue(Rc::clone(&ticket));
@@ -741,7 +745,7 @@ impl ServiceEngine {
             let ticket = st.ticket.as_ref().expect("SvcAdmit ticket state");
             if !ticket.is_woken() {
                 ticket.park(waker_factory());
-                return None;
+                return false;
             }
             ticket.rearm();
             self.pending_wakes.set(self.pending_wakes.get() - 1);
@@ -750,10 +754,7 @@ impl ServiceEngine {
                     Ticket::recycle(t);
                 }
                 self.take_slot(&meta);
-                return Some(SvcSlot {
-                    engine: Rc::clone(self),
-                    meta,
-                });
+                return true;
             }
             // A fast-path arrival stole the slot between our wake and our
             // poll: give the grant back and re-queue at the back, as a
@@ -786,7 +787,10 @@ impl ServiceEngine {
         }
     }
 
-    fn release(&self, meta: &ReqMeta) {
+    /// Gives back a slot taken by [`ServiceEngine::poll_admit`] for
+    /// `meta` (the same metadata it was admitted with) and dispatches the
+    /// scheduler's next pick. A [`SvcSlot`] calls this on drop.
+    pub fn release(&self, meta: &ReqMeta) {
         self.served_bytes.add(meta.bytes);
         if meta.client < self.sample_cap.get() {
             let sojourn = self.sim.now().since(meta.arrival);
@@ -816,10 +820,10 @@ pub struct SvcAdmit {
 }
 
 impl SvcAdmit {
-    /// Resets to the not-yet-started state for reuse by the next RPC.
-    pub fn reset(&mut self) {
-        self.started = false;
-        self.ticket = None;
+    /// Whether the machine holds a queued ticket: it is parked, or woken
+    /// and not yet polled.
+    pub fn is_waiting(&self) -> bool {
+        self.ticket.is_some()
     }
 }
 

@@ -10,9 +10,7 @@ use nfsperf_nfs3::{
     Lookup3Res, NfsProc3, NfsStat3, Read3Args, Read3Res, Setattr3Args, Setattr3Res, StableHow,
     WccData, Write3Args, Write3Res, WriteVerf, NFS_PROGRAM, NFS_V3,
 };
-use nfsperf_sim::{
-    Counter, Gate, GatePass, Receiver, SemAcquire, SemPermit, Sim, SimDuration, SimTime,
-};
+use nfsperf_sim::{Counter, Gate, GatePass, Receiver, SemAcquire, Sim, SimDuration, SimTime};
 use nfsperf_sunrpc::{
     decode_call, encode_record, encode_reply, encode_reply_status, RecordReader,
     ACCEPT_GARBAGE_ARGS, ACCEPT_PROC_UNAVAIL, ACCEPT_PROG_MISMATCH, ACCEPT_PROG_UNAVAIL,
@@ -291,7 +289,9 @@ enum FlyKind {
     Commit,
 }
 
-/// Pipeline position of an in-flight flyweight op.
+/// Pipeline position of an in-flight flyweight op. The stage also says
+/// what the op holds: a service slot from [`FlyStage::Backend`] through
+/// [`FlyStage::Finish`], the disk arm in [`FlyStage::DiskXfer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FlyStage {
     /// Waiting out a filer checkpoint (skipped on other backends).
@@ -308,25 +308,56 @@ enum FlyStage {
     Done,
 }
 
+/// A server wait point a flyweight op can queue at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WaitPoint {
+    /// The filer's checkpoint gate.
+    Checkpoint,
+    /// The service engine's scheduler queue.
+    Service,
+    /// The filer's NVRAM space queue.
+    Nvram,
+    /// The cache-disk backend's disk arm (inline flush, COMMIT flush or
+    /// COMMIT barrier).
+    DiskArm,
+}
+
+/// The one wait point an op can be queued at. The waits are live one at
+/// a time, so an op carries only the current one's poll-machine state.
+enum FlyWait {
+    /// Between waits, or finished.
+    Idle,
+    /// The filer's checkpoint gate.
+    Gate(GatePass),
+    /// The service engine's scheduler queue.
+    Admit(SvcAdmit),
+    /// The filer's NVRAM space queue.
+    Nvram(NvramAdmit),
+    /// The cache-disk backend's disk arm (flush or COMMIT barrier).
+    Disk(SemAcquire),
+}
+
 /// One flyweight WRITE or COMMIT advanced as a poll-style state machine
 /// instead of a spawned task. The event-driven client tier embeds one
-/// per RPC record and drives it with [`NfsServer::poll_flyweight`]; all
-/// wait-state scratch lives inline (plain `Option`s), so constructing a
-/// fresh op per RPC allocates nothing.
+/// per RPC record and drives it with [`NfsServer::poll_flyweight`]; the
+/// wait-state scratch lives inline, so constructing a fresh op per RPC
+/// allocates nothing.
+///
+/// Held resources are implied by the stage (see [`FlyStage`]) and given
+/// back through the server's own objects — the slot through its service
+/// engine, with the `ReqMeta` rebuilt from the op's fields; the arm
+/// through its disk — so the op stores no reference to either. An op must therefore be driven
+/// to [`FlyStep::Done`] once begun: dropping it mid-service would keep
+/// its slot or arm, just as a queued ticket keeps its scheduler slot.
 pub struct FlyweightOp {
-    client: usize,
-    kind: FlyKind,
-    bytes: u64,
     arrival: SimTime,
-    stage: FlyStage,
-    gate: GatePass,
-    admit: SvcAdmit,
-    slot: Option<SvcSlot>,
-    nvram: NvramAdmit,
-    disk: SemAcquire,
-    permit: Option<SemPermit>,
     /// Dirty-cache bytes this op flushes (cache-disk backend only).
     flush: u64,
+    wait: FlyWait,
+    client: u32,
+    bytes: u32,
+    kind: FlyKind,
+    stage: FlyStage,
     /// Whether the backend stage already ran its entry bookkeeping
     /// (flush sizing, `inline_flushes`, the commit's dirty claim) —
     /// parking on the disk arm must not repeat it.
@@ -334,20 +365,18 @@ pub struct FlyweightOp {
 }
 
 impl FlyweightOp {
+    /// # Panics
+    ///
+    /// Panics if `client` or `bytes` does not fit in 32 bits.
     fn new(client: usize, kind: FlyKind, bytes: u64, arrival: SimTime) -> FlyweightOp {
         FlyweightOp {
-            client,
-            kind,
-            bytes,
             arrival,
-            stage: FlyStage::Gate,
-            gate: GatePass::default(),
-            admit: SvcAdmit::default(),
-            slot: None,
-            nvram: NvramAdmit::default(),
-            disk: SemAcquire::default(),
-            permit: None,
             flush: 0,
+            wait: FlyWait::Gate(GatePass::default()),
+            client: u32::try_from(client).expect("flyweight client id exceeds 32 bits"),
+            bytes: u32::try_from(bytes).expect("flyweight WRITE payload exceeds 32 bits"),
+            kind,
+            stage: FlyStage::Gate,
             backend_entered: false,
         }
     }
@@ -355,6 +384,38 @@ impl FlyweightOp {
     /// Whether the op has finished (reply left the server).
     pub fn is_done(&self) -> bool {
         self.stage == FlyStage::Done
+    }
+
+    /// The wait point holding a queue entry (wait node or ticket) for
+    /// this op — it is parked there, or woken and not yet polled — or
+    /// `None` while it runs, sleeps or is done.
+    pub fn queued_at(&self) -> Option<WaitPoint> {
+        match &self.wait {
+            FlyWait::Gate(st) if st.is_waiting() => Some(WaitPoint::Checkpoint),
+            FlyWait::Admit(st) if st.is_waiting() => Some(WaitPoint::Service),
+            FlyWait::Nvram(st) if st.is_waiting() => Some(WaitPoint::Nvram),
+            FlyWait::Disk(st) if st.is_waiting() => Some(WaitPoint::DiskArm),
+            _ => None,
+        }
+    }
+
+    fn bytes(&self) -> u64 {
+        u64::from(self.bytes)
+    }
+
+    /// The scheduling metadata the op was admitted with; the slot is
+    /// released with the same value.
+    fn meta(&self) -> ReqMeta {
+        let (class, bytes) = match self.kind {
+            FlyKind::Write => (OpClass::Write, self.bytes()),
+            FlyKind::Commit => (OpClass::Commit, 0),
+        };
+        ReqMeta {
+            client: self.client as usize,
+            class,
+            bytes,
+            arrival: self.arrival,
+        }
     }
 }
 
@@ -513,111 +574,105 @@ impl NfsServer {
                     // Checkpoint pause happens before service; once
                     // passed, the gate is never re-checked.
                     if let Backend::Filer { checkpoint, .. } = &self.backend {
-                        if !checkpoint.poll_pass(&mut op.gate, waker_factory) {
+                        let FlyWait::Gate(st) = &mut op.wait else {
+                            unreachable!("a gate-stage op waits at the gate")
+                        };
+                        if !checkpoint.poll_pass(st, waker_factory) {
                             return FlyStep::Parked;
                         }
                     }
                     op.stage = FlyStage::Admit;
+                    op.wait = FlyWait::Admit(SvcAdmit::default());
                 }
                 FlyStage::Admit => {
-                    let (class, bytes) = match op.kind {
-                        FlyKind::Write => (OpClass::Write, op.bytes),
-                        FlyKind::Commit => (OpClass::Commit, 0),
+                    let meta = op.meta();
+                    let FlyWait::Admit(st) = &mut op.wait else {
+                        unreachable!("an admit-stage op waits for a slot")
                     };
-                    let meta = ReqMeta {
-                        client: op.client,
-                        class,
-                        bytes,
-                        arrival: op.arrival,
-                    };
-                    match self.engine.poll_admit(meta, &mut op.admit, waker_factory) {
-                        None => return FlyStep::Parked,
-                        Some(slot) => {
-                            op.slot = Some(slot);
-                            op.stage = FlyStage::Backend;
-                            let service = match op.kind {
-                                FlyKind::Write => self.fixed_op_cost + self.data_time(op.bytes),
-                                FlyKind::Commit => self.fixed_op_cost,
-                            };
-                            return FlyStep::Sleep(service);
-                        }
+                    if !self.engine.poll_admit(meta, st, waker_factory) {
+                        return FlyStep::Parked;
                     }
+                    op.stage = FlyStage::Backend;
+                    op.wait = match (op.kind, &self.backend) {
+                        (FlyKind::Write, Backend::Filer { .. }) => {
+                            FlyWait::Nvram(NvramAdmit::default())
+                        }
+                        (_, Backend::CacheDisk { .. }) => FlyWait::Disk(SemAcquire::default()),
+                        _ => FlyWait::Idle,
+                    };
+                    let service = match op.kind {
+                        FlyKind::Write => self.fixed_op_cost + self.data_time(op.bytes()),
+                        FlyKind::Commit => self.fixed_op_cost,
+                    };
+                    return FlyStep::Sleep(service);
                 }
-                FlyStage::Backend => match (op.kind, &self.backend) {
-                    (FlyKind::Write, Backend::Filer { nvram, .. }) => {
-                        if !nvram.poll_admit(op.bytes, &mut op.nvram, waker_factory) {
-                            return FlyStep::Parked;
-                        }
-                        op.stage = FlyStage::Finish;
-                    }
-                    (
-                        FlyKind::Write,
-                        Backend::CacheDisk {
-                            dirty,
-                            dirty_cap,
-                            disk,
-                            inline_flushes,
-                        },
-                    ) => {
-                        // bdflush pressure: flush half the cache inline.
-                        // Sizing and the stat bump happen once, on entry,
-                        // before any wait on the arm.
-                        if !op.backend_entered {
-                            op.backend_entered = true;
-                            if dirty.get() + op.bytes > *dirty_cap {
-                                op.flush = dirty.get() / 2 + op.bytes;
-                                inline_flushes.inc();
+                FlyStage::Backend => {
+                    match (op.kind, &self.backend) {
+                        (FlyKind::Write, Backend::Filer { nvram, .. }) => {
+                            let bytes = op.bytes();
+                            let FlyWait::Nvram(st) = &mut op.wait else {
+                                unreachable!("a filer WRITE waits for NVRAM")
+                            };
+                            if !nvram.poll_admit(bytes, st, waker_factory) {
+                                return FlyStep::Parked;
                             }
                         }
-                        if op.flush > 0 {
-                            match disk.poll_write_stream(op.flush, &mut op.disk, waker_factory) {
-                                None => return FlyStep::Parked,
-                                Some((permit, xfer)) => {
-                                    op.permit = Some(permit);
-                                    op.stage = FlyStage::DiskXfer;
-                                    return FlyStep::Sleep(xfer);
+                        (
+                            FlyKind::Write,
+                            Backend::CacheDisk {
+                                dirty,
+                                dirty_cap,
+                                disk,
+                                inline_flushes,
+                            },
+                        ) => {
+                            // bdflush pressure: flush half the cache inline.
+                            // Sizing and the stat bump happen once, on entry,
+                            // before any wait on the arm.
+                            if !op.backend_entered {
+                                op.backend_entered = true;
+                                if dirty.get() + op.bytes() > *dirty_cap {
+                                    op.flush = dirty.get() / 2 + op.bytes();
+                                    inline_flushes.inc();
                                 }
                             }
+                            if op.flush > 0 {
+                                return self.poll_disk_flush(op, disk, waker_factory);
+                            }
+                            dirty.set(dirty.get() + op.bytes());
                         }
-                        dirty.set(dirty.get() + op.bytes);
-                        op.stage = FlyStage::Finish;
-                    }
-                    (FlyKind::Write, Backend::Memory) => op.stage = FlyStage::Finish,
-                    (FlyKind::Commit, Backend::Filer { .. } | Backend::Memory) => {
-                        op.stage = FlyStage::Finish;
-                    }
-                    (FlyKind::Commit, Backend::CacheDisk { dirty, disk, .. }) => {
-                        // Claim the dirty pool once, before touching the
-                        // disk (see handle_commit for why claiming first
-                        // matters).
-                        if !op.backend_entered {
-                            op.backend_entered = true;
-                            op.flush = dirty.replace(0);
-                        }
-                        if op.flush > 0 {
-                            match disk.poll_write_stream(op.flush, &mut op.disk, waker_factory) {
-                                None => return FlyStep::Parked,
-                                Some((permit, xfer)) => {
-                                    op.permit = Some(permit);
-                                    op.stage = FlyStage::DiskXfer;
-                                    return FlyStep::Sleep(xfer);
-                                }
+                        (FlyKind::Write, Backend::Memory)
+                        | (FlyKind::Commit, Backend::Filer { .. } | Backend::Memory) => {}
+                        (FlyKind::Commit, Backend::CacheDisk { dirty, disk, .. }) => {
+                            // Claim the dirty pool once, before touching the
+                            // disk (see handle_commit for why claiming first
+                            // matters).
+                            if !op.backend_entered {
+                                op.backend_entered = true;
+                                op.flush = dirty.replace(0);
+                            }
+                            if op.flush > 0 {
+                                return self.poll_disk_flush(op, disk, waker_factory);
+                            }
+                            let FlyWait::Disk(st) = &mut op.wait else {
+                                unreachable!("a cache-disk COMMIT waits at the disk arm")
+                            };
+                            if !disk.poll_barrier(st, waker_factory) {
+                                return FlyStep::Parked;
                             }
                         }
-                        if !disk.poll_barrier(&mut op.disk, waker_factory) {
-                            return FlyStep::Parked;
-                        }
-                        op.stage = FlyStage::Finish;
                     }
-                },
+                    op.stage = FlyStage::Finish;
+                    op.wait = FlyWait::Idle;
+                }
                 FlyStage::DiskXfer => {
                     let Backend::CacheDisk { dirty, disk, .. } = &self.backend else {
                         unreachable!("disk transfer only exists on the cache-disk backend")
                     };
-                    disk.finish_write(op.flush, op.permit.take().expect("arm permit held"));
+                    disk.finish_write(op.flush);
                     if op.kind == FlyKind::Write {
                         dirty.set(dirty.get().saturating_sub(op.flush));
-                        dirty.set(dirty.get() + op.bytes);
+                        dirty.set(dirty.get() + op.bytes());
                     }
                     op.stage = FlyStage::Finish;
                 }
@@ -626,9 +681,9 @@ impl NfsServer {
                     match op.kind {
                         FlyKind::Write => {
                             self.writes.inc();
-                            self.write_bytes.add(op.bytes);
+                            self.write_bytes.add(op.bytes());
                             self.slim_writes.inc();
-                            self.slim_write_bytes.add(op.bytes);
+                            self.slim_write_bytes.add(op.bytes());
                         }
                         FlyKind::Commit => {
                             self.commits.inc();
@@ -637,11 +692,33 @@ impl NfsServer {
                     }
                     // Counters first, slot release last, as in the
                     // faithful handlers, where `_svc` drops on return.
-                    op.slot = None;
+                    self.engine.release(&op.meta());
                     op.stage = FlyStage::Done;
                     return FlyStep::Done;
                 }
                 FlyStage::Done => return FlyStep::Done,
+            }
+        }
+    }
+
+    /// Queues a cache-disk op's flush of `op.flush` bytes for the disk
+    /// arm; once the arm is held, moves to [`FlyStage::DiskXfer`] and
+    /// asks for the transfer time.
+    fn poll_disk_flush(
+        &self,
+        op: &mut FlyweightOp,
+        disk: &DiskModel,
+        waker_factory: &mut dyn FnMut() -> std::task::Waker,
+    ) -> FlyStep {
+        let FlyWait::Disk(st) = &mut op.wait else {
+            unreachable!("a cache-disk flush waits at the disk arm")
+        };
+        match disk.poll_write_stream(op.flush, st, waker_factory) {
+            None => FlyStep::Parked,
+            Some(xfer) => {
+                op.stage = FlyStage::DiskXfer;
+                op.wait = FlyWait::Idle;
+                FlyStep::Sleep(xfer)
             }
         }
     }

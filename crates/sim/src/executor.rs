@@ -48,15 +48,19 @@ pub type TaskId = usize;
 /// bits carry the event's slot index (low 32) and generation (next 31).
 const EVENT_TAG: usize = 1 << (usize::BITS - 1);
 /// Ready-queue entries with this bit set (and [`EVENT_TAG`] clear) are
-/// direct dispatches: a pre-encoded `(handler, data)` pair with no slab
-/// slot and no generation, for parked waits that are woken exactly once
-/// and never cancelled (see [`Sim::direct_waker`]).
+/// direct dispatches: a pre-encoded `(route, handler, data)` triple with
+/// no slab slot and no generation, for parked waits that are woken
+/// exactly once and never cancelled (see [`Sim::direct_waker`]).
 const DIRECT_TAG: usize = 1 << (usize::BITS - 2);
 /// Generations are 31 bits so a tagged `(gen, slot)` pair plus the tag
 /// fits one ready-queue word.
 const EVENT_GEN_MASK: u32 = 0x7fff_ffff;
-/// Direct words carry the handler in bits 32..62, below [`DIRECT_TAG`].
-const DIRECT_HANDLER_MAX: u32 = 1 << 30;
+/// Direct words carry the handler in bits 32..48.
+const DIRECT_HANDLER_MAX: u32 = 1 << 16;
+/// Direct words carry the world's route (see [`DIRECT_ROUTES`]) in bits
+/// 48..62, below [`DIRECT_TAG`].
+const DIRECT_ROUTE_SHIFT: u32 = 48;
+const DIRECT_ROUTE_MAX: usize = 1 << 14;
 // The tagged encoding needs a 64-bit ready-queue word.
 const _: () = assert!(usize::BITS == 64, "slab events need 64-bit usize");
 
@@ -66,8 +70,8 @@ fn encode_event(slot: u32, gen: u32) -> usize {
 }
 
 #[inline]
-fn encode_direct(handler: u32, data: u32) -> usize {
-    DIRECT_TAG | ((handler as usize) << 32) | data as usize
+fn encode_direct(route: usize, handler: u32, data: u32) -> usize {
+    DIRECT_TAG | (route << DIRECT_ROUTE_SHIFT) | ((handler as usize) << 32) | data as usize
 }
 
 type LocalFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
@@ -198,34 +202,74 @@ static EVENT_WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
     |_| {},
 );
 
-/// Backing data for a direct waker: the ready-queue word is fully
-/// encoded at creation, so waking is a single push — no slab slot, no
-/// generation refresh, nothing to free at dispatch. Safe only under the
-/// woken-at-most-once-per-park contract every primitive in
+thread_local! {
+    /// The ready queue of every live world on this thread that has handed
+    /// out a direct waker, indexed by the world's route (null = free).
+    /// A direct waker's data pointer is its whole ready-queue word, which
+    /// names the route, so a waker needs no backing record at all.
+    static DIRECT_ROUTES: RefCell<Vec<*const ReadyQueue>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A world's slot in [`DIRECT_ROUTES`], claimed on its first
+/// [`Sim::direct_waker`] and freed when the core drops.
+struct DirectRoute(usize);
+
+impl DirectRoute {
+    fn register(ready: *const ReadyQueue) -> DirectRoute {
+        DIRECT_ROUTES.with(|routes| {
+            let mut routes = routes.borrow_mut();
+            let route = match routes.iter().position(|r| r.is_null()) {
+                Some(free) => free,
+                None => {
+                    routes.push(std::ptr::null());
+                    routes.len() - 1
+                }
+            };
+            assert!(
+                route < DIRECT_ROUTE_MAX,
+                "more than {DIRECT_ROUTE_MAX} live worlds with direct wakers on one thread"
+            );
+            routes[route] = ready;
+            DirectRoute(route)
+        })
+    }
+}
+
+impl Drop for DirectRoute {
+    fn drop(&mut self) {
+        // `try_with`: a core dropped during thread teardown may outlive
+        // the registry; nothing can wake through it by then.
+        let _ = DIRECT_ROUTES.try_with(|routes| routes.borrow_mut()[self.0] = std::ptr::null());
+    }
+}
+
+/// Pushes a direct waker's word onto its world's ready queue. Safe only
+/// under the woken-at-most-once-per-park contract every primitive in
 /// [`crate::sync`] (and the lane/server ticket handshakes built on the
 /// same shape) provides: a parked direct waker fires once, and its owner
 /// is guaranteed to still be parked at that stage when the dispatch
 /// runs, so no generation check is needed.
-///
-/// SAFETY contract: identical to [`WakerData`] — single-threaded use,
-/// owned by the core, outlives every waker clone.
-struct DirectWakerData {
-    word: usize,
-    ready: *const ReadyQueue,
+fn wake_direct(word: usize) {
+    let route = (word >> DIRECT_ROUTE_SHIFT) & (DIRECT_ROUTE_MAX - 1);
+    DIRECT_ROUTES.with(|routes| {
+        let ready = routes.borrow()[route];
+        // A dropped world's route is null: its wakes go nowhere.
+        if !ready.is_null() {
+            // SAFETY: a non-null route points at the ready queue of a
+            // live world, which frees the route before the queue drops;
+            // like every other waker in this executor, a direct waker is
+            // woken only on the thread that built it.
+            unsafe { (*ready).push(word) }
+        }
+    });
 }
 
 static DIRECT_WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
-    // clone: identity — the data is owned by the core.
+    // clone: identity — the data pointer is the word itself.
     |data| RawWaker::new(data, &DIRECT_WAKER_VTABLE),
-    // wake / wake_by_ref: push the pre-encoded word.
-    |data| unsafe {
-        let d = &*(data as *const DirectWakerData);
-        (*d.ready).push(d.word);
-    },
-    |data| unsafe {
-        let d = &*(data as *const DirectWakerData);
-        (*d.ready).push(d.word);
-    },
+    // wake / wake_by_ref: push the word.
+    |data| wake_direct(data.addr()),
+    |data| wake_direct(data.addr()),
     // drop: no-op.
     |_| {},
 );
@@ -289,9 +333,6 @@ enum TaskSlot {
     Task(Option<LocalFuture>),
 }
 
-/// Direct-waker records per [`SimCore::direct_waker_data`] chunk.
-const DIRECT_CHUNK: usize = 4096;
-
 /// Free-list terminator for [`TaskSlot::Vacant`].
 const NO_SLOT: usize = usize::MAX;
 
@@ -326,16 +367,13 @@ struct SimCore {
     /// here. Boxed so the pointers baked into the wakers stay stable as
     /// the vector grows.
     event_waker_data: RefCell<Vec<Option<Box<EventWakerData>>>>,
-    /// Backing store for direct wakers ([`Sim::direct_waker`]): chunks of
-    /// [`DIRECT_CHUNK`] records, each allocated at full capacity and
-    /// never grown past it, so a record never moves and the pointers
-    /// baked into the wakers stay stable — without one allocation per
-    /// record. Append-only, sized by the callers' own slab growth (one
-    /// per flyweight RPC record), so it stops growing when they do.
-    direct_waker_data: RefCell<Vec<Vec<DirectWakerData>>>,
     /// Registered dispatch targets; an event stores only an index here
     /// plus a `u64` payload, so dispatch is one dynamic call.
     event_handlers: RefCell<Vec<Option<EventHandlerFn>>>,
+    /// This world's direct-waker route, claimed on first use. Fields drop
+    /// in declaration order, so the route is freed after everything that
+    /// could still wake (tasks, timers, handlers) and before `ready`.
+    direct_route: std::cell::OnceCell<DirectRoute>,
     ready: Arc<ReadyQueue>,
     /// Count of tasks currently being polled; used to catch re-entrancy.
     polling: Cell<usize>,
@@ -410,8 +448,8 @@ impl Sim {
                 event_slots: RefCell::new(Vec::new()),
                 event_free: RefCell::new(Vec::new()),
                 event_waker_data: RefCell::new(Vec::new()),
-                direct_waker_data: RefCell::new(Vec::new()),
                 event_handlers: RefCell::new(Vec::new()),
+                direct_route: std::cell::OnceCell::new(),
                 ready: Arc::new(ReadyQueue::default()),
                 polling: Cell::new(0),
                 events: Cell::new(0),
@@ -859,41 +897,27 @@ impl Sim {
         (ev, unsafe { Waker::from_raw(raw) })
     }
 
-    /// Builds a reusable waker that dispatches `handler(data)` each time
-    /// it is woken — the zero-state spelling of [`Sim::event_waker`] for
+    /// Builds a waker that dispatches `handler(data)` each time it is
+    /// woken — the zero-state spelling of [`Sim::event_waker`] for
     /// callers whose parks are woken exactly once and never cancelled
-    /// (the flyweight tier's admission and service waits). The word is
-    /// encoded once; waking is a single ready-queue push and dispatch
-    /// touches no slab, so the waker can be built per long-lived record
-    /// and cloned for every park over its lifetime.
-    ///
-    /// Created once per caller-side slot: the backing store is append-
-    /// only (it must outlive every clone), so callers cache the waker,
-    /// not recreate it per park. Records are packed into fixed-capacity
-    /// chunks, so a million wakers cost a few hundred allocations.
+    /// (the flyweight tier's admission and service waits). The waker's
+    /// data pointer is its encoded ready-queue word, so building one
+    /// allocates nothing and stores nothing: callers make a fresh one per
+    /// park. Waking is a single ready-queue push and dispatch touches no
+    /// slab.
     pub fn direct_waker(&self, handler: EventHandlerId, data: u32) -> Waker {
         assert!(
             handler.0 < DIRECT_HANDLER_MAX,
-            "direct wakers carry 30-bit handler ids"
+            "direct wakers carry 16-bit handler ids"
         );
-        let mut chunks = self.core.direct_waker_data.borrow_mut();
-        if chunks.last().is_none_or(|c| c.len() == DIRECT_CHUNK) {
-            chunks.push(Vec::with_capacity(DIRECT_CHUNK));
-        }
-        let chunk = chunks.last_mut().expect("a chunk with room");
-        // Within capacity: the push never reallocates, so earlier
-        // records keep their addresses.
-        chunk.push(DirectWakerData {
-            word: encode_direct(handler.0, data),
-            ready: Arc::as_ptr(&self.core.ready),
-        });
-        let d = chunk.last().expect("just pushed");
-        let raw = RawWaker::new(
-            d as *const DirectWakerData as *const (),
-            &DIRECT_WAKER_VTABLE,
-        );
-        // SAFETY: see `DirectWakerData` — single-threaded use, data
-        // outlives every waker clone.
+        let route = self
+            .core
+            .direct_route
+            .get_or_init(|| DirectRoute::register(Arc::as_ptr(&self.core.ready)));
+        let word = encode_direct(route.0, handler.0, data);
+        let raw = RawWaker::new(std::ptr::without_provenance(word), &DIRECT_WAKER_VTABLE);
+        // SAFETY: the vtable never dereferences the data pointer; see
+        // `wake_direct` for why the route it names is live.
         unsafe { Waker::from_raw(raw) }
     }
 
@@ -1431,16 +1455,16 @@ mod tests {
         assert_eq!(sim.live_events(), 0);
     }
 
-    /// Direct wakers live in fixed-capacity chunks; records from every
-    /// chunk must keep dispatching to their own payload after later
-    /// chunks were added.
+    /// A direct waker is its encoded word: payloads across the whole
+    /// 32-bit range dispatch once each, in wake order, and a waker built
+    /// again for the same record is interchangeable with the first.
     #[test]
-    fn direct_wakers_across_chunks_dispatch_once_in_order() {
+    fn direct_wakers_dispatch_once_in_order() {
         let sim = Sim::new();
         let (h, log) = logging_handler(&sim);
-        let n = 2 * DIRECT_CHUNK as u32 + 17;
-        let wakers: Vec<Waker> = (0..n).map(|i| sim.direct_waker(h, i)).collect();
-        assert_eq!(sim.core.direct_waker_data.borrow().len(), 3);
+        let payloads = [0, 1, 4_096, 65_535, 1 << 20, u32::MAX - 1, u32::MAX];
+        let wakers: Vec<Waker> = payloads.iter().map(|&i| sim.direct_waker(h, i)).collect();
+        assert!(wakers[3].will_wake(&sim.direct_waker(h, 65_535)));
         sim.run_until(async move {
             for w in &wakers {
                 w.wake_by_ref();
@@ -1448,7 +1472,40 @@ mod tests {
             yield_now().await;
         });
         let fired: Vec<u64> = log.borrow().iter().map(|&(_, d)| d).collect();
-        assert_eq!(fired, (0..u64::from(n)).collect::<Vec<_>>());
+        assert_eq!(fired, payloads.map(u64::from));
+    }
+
+    /// Two live worlds on one thread each get their own route: a direct
+    /// waker wakes only the world that built it, and a dropped world's
+    /// route is reused by the next one instead of growing the registry.
+    #[test]
+    fn direct_wakers_route_to_their_own_world() {
+        let a = Sim::new();
+        let b = Sim::new();
+        let (ha, log_a) = logging_handler(&a);
+        let (hb, log_b) = logging_handler(&b);
+        assert_eq!(ha, hb, "both worlds' first handler has id 0");
+        let wa = a.direct_waker(ha, 7);
+        let wb = b.direct_waker(hb, 9);
+        assert!(!wa.will_wake(&wb));
+        let routes = DIRECT_ROUTES.with(|r| r.borrow().len());
+        wb.wake_by_ref();
+        a.run_until(async move {
+            wa.wake_by_ref();
+            yield_now().await;
+        });
+        b.run_until(yield_now());
+        assert_eq!(log_a.borrow().iter().map(|&(_, d)| d).collect::<Vec<_>>(), [7]);
+        assert_eq!(log_b.borrow().iter().map(|&(_, d)| d).collect::<Vec<_>>(), [9]);
+        // The logging handler holds its world: break the cycle first.
+        b.teardown();
+        drop(b);
+        // A dropped world's route is free: a stray wake goes nowhere.
+        wb.wake_by_ref();
+        let c = Sim::new();
+        let (hc, _) = logging_handler(&c);
+        let _wc = c.direct_waker(hc, 1);
+        assert_eq!(DIRECT_ROUTES.with(|r| r.borrow().len()), routes);
     }
 
     #[test]

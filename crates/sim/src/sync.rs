@@ -487,7 +487,12 @@ impl Semaphore {
     /// [`Semaphore::poll_acquire`] driven by the calling task.
     pub fn acquire(self: &Rc<Self>) -> impl Future<Output = SemPermit> + '_ {
         let mut st = SemAcquire::default();
-        poll_machine(move |wf| self.poll_acquire(&mut st, wf))
+        poll_machine(move |wf| {
+            self.poll_acquire(&mut st, wf).then(|| SemPermit {
+                sem: Rc::clone(self),
+                live: true,
+            })
+        })
     }
 
     /// Takes a permit if one is free, without waiting.
@@ -510,10 +515,12 @@ impl Semaphore {
     }
 
     /// The semaphore's one acquisition machine; [`Semaphore::acquire`]
-    /// is this machine driven by a task.
+    /// is this machine driven by a task, wrapping the taken permit in a
+    /// [`SemPermit`].
     ///
-    /// Call with a fresh [`SemAcquire`] state; returns `Some(permit)` when
-    /// the permit is taken, or `None` after parking a waker from
+    /// Call with a fresh [`SemAcquire`] state; returns `true` once a
+    /// permit is taken — the caller then owns it and gives it back with
+    /// [`Semaphore::release_one`] — or `false` after parking a waker from
     /// `waker_factory` (call again when it fires). The fast path applies
     /// only before the first park; after that each wake re-checks only
     /// the permit count. Tasks and taskless callers share one FIFO queue.
@@ -521,29 +528,26 @@ impl Semaphore {
     /// The factory is only invoked when the machine actually parks, so
     /// fast-path acquisitions arm no event.
     pub fn poll_acquire(
-        self: &Rc<Self>,
+        &self,
         st: &mut SemAcquire,
         waker_factory: &mut dyn FnMut() -> Waker,
-    ) -> Option<SemPermit> {
+    ) -> bool {
         if st.wait.is_none() {
             // Fast path: free permit and nobody queued ahead of us.
             if self.permits.get() > 0 && self.queue.is_empty() {
                 self.permits.set(self.permits.get() - 1);
-                return Some(SemPermit {
-                    sem: Rc::clone(self),
-                    live: true,
-                });
+                return true;
             }
             let w = self.queue.wait();
             w.park(waker_factory());
             st.wait = Some(w);
-            return None;
+            return false;
         }
         loop {
             let w = st.wait.as_ref().expect("SemAcquire wait state");
             if !w.is_woken() {
                 w.park(waker_factory());
-                return None;
+                return false;
             }
             // Each `release_one` wakes exactly the head waiter, so being
             // woken means it is our turn; re-checking only the permit count
@@ -552,10 +556,7 @@ impl Semaphore {
             st.wait = None;
             if self.permits.get() > 0 {
                 self.permits.set(self.permits.get() - 1);
-                return Some(SemPermit {
-                    sem: Rc::clone(self),
-                    live: true,
-                });
+                return true;
             }
             st.wait = Some(self.queue.wait());
         }
@@ -665,9 +666,10 @@ pub struct SemAcquire {
 }
 
 impl SemAcquire {
-    /// Resets to the not-yet-started state for reuse by the next RPC.
-    pub fn reset(&mut self) {
-        self.wait = None;
+    /// Whether the machine holds a wait-queue node: it is parked, or
+    /// woken and not yet polled.
+    pub fn is_waiting(&self) -> bool {
+        self.wait.is_some()
     }
 }
 
@@ -678,9 +680,10 @@ pub struct GatePass {
 }
 
 impl GatePass {
-    /// Resets to the not-yet-started state for reuse by the next RPC.
-    pub fn reset(&mut self) {
-        self.wait = None;
+    /// Whether the machine holds a wait-queue node; see
+    /// [`SemAcquire::is_waiting`].
+    pub fn is_waiting(&self) -> bool {
+        self.wait.is_some()
     }
 }
 

@@ -25,8 +25,12 @@ cargo test -q --release --offline -p nfsperf-fleet --test zero_alloc
 echo "==> peak heap per in-flight flyweight client (counting global allocator, release)"
 # With every client of a 50k tier in flight at once, the live-heap
 # high-water mark per client must stay under the test's budget, so
-# per-RPC engine bookkeeping cannot creep back in.
-cargo test -q --release --offline -p nfsperf-fleet --test peak_heap
+# per-RPC engine bookkeeping cannot creep back in. The measured figure
+# is echoed, so a failing gate's size shows in the log.
+out="$(cargo test -q --release --offline -p nfsperf-fleet --test peak_heap -- --nocapture 2>&1)" \
+    || { echo "$out"; echo "FAIL: peak heap gate"; exit 1; }
+echo "$out" | grep "peak heap per in-flight client:" \
+    || { echo "$out"; echo "FAIL: peak heap gate printed no measurement"; exit 1; }
 
 echo "==> host-time benchmark tests (perfbench, release)"
 # The benchmark package has its own workspace. Its tests drive every
