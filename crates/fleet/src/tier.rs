@@ -903,9 +903,11 @@ mod tests {
             std::mem::size_of::<FlyClient>()
         );
         // Not resident per client, but one per in-flight RPC: at a
-        // million clients the launch burst holds a million of them.
+        // million clients the launch burst holds a million of them. By-value
+        // queue entries shrank the lane admission (24 → 16 B) and the
+        // server op (56 → 48 B), so the record went 80 → 72 B.
         assert!(
-            std::mem::size_of::<FlyRpc>() <= 80,
+            std::mem::size_of::<FlyRpc>() <= 72,
             "FlyRpc grew to {} bytes",
             std::mem::size_of::<FlyRpc>()
         );
@@ -970,7 +972,7 @@ mod tests {
     type Census = [u64; 6];
 
     /// Checks that every record holds state for its current hop only —
-    /// a lane ticket only while queued at a lane, a server op only in
+    /// a lane wait cell only while queued at a lane, a server op only in
     /// service (or just done), nothing at all while on the free list —
     /// and adds every record holding a queue entry to `seen`. Returns
     /// how many records are on the free list.
@@ -995,7 +997,7 @@ mod tests {
             let kind = match &rpc.hop {
                 Hop::Lane(lane) if !lane.is_queued() => continue,
                 Hop::Lane(_) => {
-                    assert!(admitting && !free[r], "record {r} kept a lane ticket");
+                    assert!(admitting && !free[r], "record {r} kept a lane wait cell");
                     match rpc.stage {
                         RpcStage::AggAdmit | RpcStage::AggRAdmit => 0,
                         _ => 1,
@@ -1024,8 +1026,8 @@ mod tests {
     /// Runs a tier of `clients` all launched at once against `config`,
     /// auditing the records every 20 µs and once more at the end, when
     /// every record must be back on the free list, the server must have
-    /// nothing in service or queued, and every fabric lane must be idle
-    /// and empty.
+    /// nothing in service or queued, every wait cell must be freed, and
+    /// every fabric lane must be idle and empty.
     fn run_and_audit(config: ServerConfig, clients: u32, seen: &mut Census) -> ServerStats {
         let sim = Sim::new();
         let server_nic = NicSpec::gigabit();
@@ -1063,6 +1065,7 @@ mod tests {
         assert_eq!(after, [0; 6], "a finished tier still holds queue entries");
         let engine = server.service_engine();
         assert_eq!((engine.in_flight(), engine.queued()), (0, 0));
+        assert_eq!(sim.live_wait_cells(), 0, "a queued admission kept its wait cell");
         let aggs = (0..fabric.agg_count()).map(|i| {
             let first = (i * fabric.config().fanout) as u32;
             fabric.agg_of(first)

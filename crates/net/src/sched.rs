@@ -25,12 +25,12 @@
 //! `PortFifo` is not merely equivalent to the old lane but
 //! *bit-identical*.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
-use std::rc::Rc;
-use std::task::Waker;
+
+use nfsperf_sim::WaitCell;
 
 /// Byte cost floor, mirroring `server::sched::COST_FLOOR`: a tiny
 /// datagram (a COMMIT call, a reply fragment) still occupies the lane
@@ -82,124 +82,79 @@ impl WeightTable {
     }
 }
 
-/// A queued lane admission: the datagram's flow id and wire-byte cost
-/// plus the woken/waker handshake (the same shape as `server::sched`'s
-/// `Ticket`). The lane parks the transmitter's waker on its ticket; the
-/// scheduler hands tickets back from `pick_next` and the lane wakes
-/// them.
+/// One queued lane admission, held by value in the lane scheduler's
+/// queues: the datagram's source flow and wire-byte cost plus the
+/// handle of the [`WaitCell`] its transmitter parks on (the same shape
+/// as `server::sched`'s `ReqEntry`). The lane claims the cell when the
+/// datagram queues, wakes it when the scheduler picks the entry, and the
+/// transmitter frees it once admitted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortTicket {
-    flow: Cell<u32>,
-    cost: Cell<u64>,
-    woken: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
-}
-
-/// Free-list bound for recycled tickets; admissions beyond it fall back
-/// to plain allocation.
-const TICKET_POOL_CAP: usize = 64;
-
-thread_local! {
-    /// Recycled tickets, so steady-state lane admission allocates
-    /// nothing. Like the simulator's wait-node pool, [`PortTicket::new`]
-    /// only reuses a ticket whose strong count has fallen back to one
-    /// (the pool's own reference): a lane scheduler still holding a
-    /// clone can never see its ticket repurposed.
-    static TICKET_POOL: RefCell<Vec<Rc<PortTicket>>> = const { RefCell::new(Vec::new()) };
+    flow: u32,
+    cost: u32,
+    cell: WaitCell,
 }
 
 impl PortTicket {
-    /// Creates a ticket for one datagram of `cost` wire bytes from
-    /// `flow`, reusing a retired ticket when the pool has one.
-    pub fn new(flow: u32, cost: u64) -> Rc<PortTicket> {
-        TICKET_POOL.with(|p| {
-            let mut free = p.borrow_mut();
-            while let Some(t) = free.pop() {
-                if Rc::strong_count(&t) == 1 {
-                    t.flow.set(flow);
-                    t.cost.set(cost);
-                    t.woken.set(false);
-                    t.waker.borrow_mut().take();
-                    return t;
-                }
-                // A holder is still alive somewhere; forget this one.
-            }
-            Rc::new(PortTicket {
-                flow: Cell::new(flow),
-                cost: Cell::new(cost),
-                woken: Cell::new(false),
-                waker: RefCell::new(None),
-            })
-        })
+    /// An entry for one datagram of `cost` wire bytes from `flow` that
+    /// parks on no cell — for probes and tests that only exercise the
+    /// order; lanes build theirs with [`PortTicket::on_cell`].
+    pub fn new(flow: u32, cost: u64) -> PortTicket {
+        PortTicket::on_cell(flow, cost, WaitCell::NONE)
     }
 
-    /// Returns a retired ticket to the pool.
-    pub(crate) fn recycle(t: Rc<PortTicket>) {
-        TICKET_POOL.with(|p| {
-            let mut free = p.borrow_mut();
-            if free.len() < TICKET_POOL_CAP {
-                free.push(t);
-            }
-        });
+    /// An entry whose transmitter parks on `cell`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cost` does not fit 32 bits.
+    pub fn on_cell(flow: u32, cost: u64, cell: WaitCell) -> PortTicket {
+        PortTicket {
+            flow,
+            cost: u32::try_from(cost).expect("datagram wire bytes exceed 32 bits"),
+            cell,
+        }
     }
 
     /// The datagram's source flow id.
     pub fn flow(&self) -> u32 {
-        self.flow.get()
+        self.flow
     }
 
     /// The datagram's wire-byte cost (pre-floor).
     pub fn cost(&self) -> u64 {
-        self.cost.get()
+        u64::from(self.cost)
     }
 
-    pub(crate) fn wake(&self) {
-        self.woken.set(true);
-        if let Some(w) = self.waker.borrow_mut().take() {
-            w.wake();
-        }
-    }
-
-    /// Re-arms the handshake so the ticket can queue again after a
-    /// lane-slot steal.
-    pub(crate) fn rearm(&self) {
-        self.woken.set(false);
-    }
-
-    /// Whether the lane has picked and woken this ticket.
-    pub(crate) fn is_woken(&self) -> bool {
-        self.woken.get()
-    }
-
-    /// Stores a waker for the next wake. Callers must check
-    /// [`PortTicket::is_woken`] first.
-    pub(crate) fn park(&self, waker: Waker) {
-        *self.waker.borrow_mut() = Some(waker);
+    /// The wait cell the transmitter is parked on.
+    pub fn cell(&self) -> WaitCell {
+        self.cell
     }
 }
 
 /// A wire-ordering policy for one lane.
 ///
 /// The lane owns the single serialization slot; the scheduler owns the
-/// order. `enqueue` admits a ticket, `pick_next` removes and returns the
+/// order. `enqueue` admits an entry, `pick_next` removes and returns the
 /// next to serialize (charging any deficit), and `ungrant` refunds a
 /// pick whose lane slot was stolen by a fast-path arrival before the
-/// woken task ran (the ticket re-enters via `enqueue`).
+/// woken transmitter ran (the entry re-enters via `enqueue`).
 pub trait PortSched {
     /// Policy name for reports (`port-fifo`, `port-drr`, `port-wrr`).
     fn label(&self) -> &'static str;
 
-    /// Admits a ticket to the queue.
-    fn enqueue(&self, ticket: Rc<PortTicket>);
+    /// Admits an entry to the queue.
+    fn enqueue(&self, ticket: PortTicket);
 
-    /// Removes and returns the next ticket to serialize, or `None` if
+    /// Removes and returns the next entry to serialize, or `None` if
     /// nothing is queued.
-    fn pick_next(&self) -> Option<Rc<PortTicket>>;
+    fn pick_next(&self) -> Option<PortTicket>;
 
     /// Refunds a pick whose slot was stolen; the same `(flow, cost)`
     /// will re-enqueue immediately after.
     fn ungrant(&self, _flow: u32, _cost: u64) {}
 
-    /// Number of queued tickets.
+    /// Number of queued entries.
     fn queued(&self) -> usize;
 
     /// Live bytes of policy state *beyond* the lane's fixed arbiter
@@ -212,7 +167,7 @@ pub trait PortSched {
 /// Arrival-order wire scheduling — the pre-subsystem semaphore lane.
 #[derive(Default)]
 pub struct PortFifo {
-    queue: RefCell<VecDeque<Rc<PortTicket>>>,
+    queue: RefCell<VecDeque<PortTicket>>,
 }
 
 impl PortSched for PortFifo {
@@ -220,11 +175,11 @@ impl PortSched for PortFifo {
         "port-fifo"
     }
 
-    fn enqueue(&self, ticket: Rc<PortTicket>) {
+    fn enqueue(&self, ticket: PortTicket) {
         self.queue.borrow_mut().push_back(ticket);
     }
 
-    fn pick_next(&self) -> Option<Rc<PortTicket>> {
+    fn pick_next(&self) -> Option<PortTicket> {
         self.queue.borrow_mut().pop_front()
     }
 
@@ -239,12 +194,12 @@ impl PortSched for PortFifo {
     }
 }
 
-/// Per-flow DRR state: the flow's ticket queue and accumulated byte
+/// Per-flow DRR state: the flow's entry queue and accumulated byte
 /// credit. Entries exist only while a flow is backlogged (or holds an
 /// `ungrant` refund awaiting its re-enqueue), so a million idle flows
 /// cost the lane nothing.
 struct DrrFlow {
-    queue: VecDeque<Rc<PortTicket>>,
+    queue: VecDeque<PortTicket>,
     deficit: u64,
     in_ring: bool,
 }
@@ -309,7 +264,7 @@ impl PortSched for PortDrrCore {
         self.label
     }
 
-    fn enqueue(&self, ticket: Rc<PortTicket>) {
+    fn enqueue(&self, ticket: PortTicket) {
         let flow = ticket.flow();
         let mut inner = self.inner.borrow_mut();
         let st = inner.flows.entry(flow).or_insert_with(DrrFlow::new);
@@ -322,7 +277,7 @@ impl PortSched for PortDrrCore {
         }
     }
 
-    fn pick_next(&self) -> Option<Rc<PortTicket>> {
+    fn pick_next(&self) -> Option<PortTicket> {
         let mut inner = self.inner.borrow_mut();
         loop {
             let &flow = inner.ring.front()?;
@@ -356,7 +311,7 @@ impl PortSched for PortDrrCore {
     }
 
     fn ungrant(&self, flow: u32, cost: u64) {
-        // Refund the byte cost pick_next charged; the ticket is about to
+        // Refund the byte cost pick_next charged; the entry is about to
         // re-enqueue and would otherwise pay twice. The entry may have
         // been retired when its queue drained — recreate it; the
         // re-enqueue puts the flow back in the ring.
@@ -378,7 +333,7 @@ impl PortSched for PortDrrCore {
         let queues: usize = inner
             .flows
             .values()
-            .map(|st| st.queue.capacity() * std::mem::size_of::<Rc<PortTicket>>())
+            .map(|st| st.queue.capacity() * std::mem::size_of::<PortTicket>())
             .sum();
         inner.flows.capacity() * per_entry
             + inner.ring.capacity() * std::mem::size_of::<u32>()
@@ -401,10 +356,10 @@ impl PortSched for PortDrr {
     fn label(&self) -> &'static str {
         self.0.label()
     }
-    fn enqueue(&self, ticket: Rc<PortTicket>) {
+    fn enqueue(&self, ticket: PortTicket) {
         self.0.enqueue(ticket);
     }
-    fn pick_next(&self) -> Option<Rc<PortTicket>> {
+    fn pick_next(&self) -> Option<PortTicket> {
         self.0.pick_next()
     }
     fn ungrant(&self, flow: u32, cost: u64) {
@@ -432,10 +387,10 @@ impl PortSched for PortWrr {
     fn label(&self) -> &'static str {
         self.0.label()
     }
-    fn enqueue(&self, ticket: Rc<PortTicket>) {
+    fn enqueue(&self, ticket: PortTicket) {
         self.0.enqueue(ticket);
     }
-    fn pick_next(&self) -> Option<Rc<PortTicket>> {
+    fn pick_next(&self) -> Option<PortTicket> {
         self.0.pick_next()
     }
     fn ungrant(&self, flow: u32, cost: u64) {
@@ -618,9 +573,9 @@ mod tests {
         // Slot stolen: refund, re-enqueue, and the next pick serves the
         // same frame without a second top-up (deficit came back).
         sched.ungrant(t.flow(), t.cost());
-        sched.enqueue(Rc::clone(&t));
+        sched.enqueue(t);
         let again = sched.pick_next().expect("re-pick");
-        assert!(Rc::ptr_eq(&t, &again));
+        assert_eq!(t, again);
         assert_eq!(sched.queued(), 0);
     }
 
@@ -635,6 +590,17 @@ mod tests {
         let inner = sched.0.inner.borrow();
         assert!(inner.flows.is_empty(), "idle flows must not hold state");
         assert!(inner.ring.is_empty());
+    }
+
+    /// A fabric lane can hold a queued entry per client: entries are
+    /// plain values, 12 bytes each.
+    #[test]
+    fn lane_queue_entry_is_compact() {
+        assert!(
+            std::mem::size_of::<PortTicket>() <= 12,
+            "lane queue entry grew to {} bytes",
+            std::mem::size_of::<PortTicket>()
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ use std::rc::Rc;
 use std::task::Waker;
 
 use nfsperf_sim::{
-    poll_machine, ByteMeter, Counter, LatencyDigest, Receiver, Sim, SimDuration, SimTime,
+    poll_machine, ByteMeter, Counter, LatencyDigest, Receiver, Sim, SimDuration, SimTime, WaitCell,
 };
 
 use crate::nic::{DatagramPayload, Nic, NicSpec};
@@ -117,11 +117,11 @@ impl Lane {
 
     /// Wakes the scheduler's next pick if the slot is free and no wake
     /// is already outstanding — the engine's single-slot `kick`.
-    fn kick(&self) {
+    fn kick(&self, sim: &Sim) {
         if !self.busy.get() && self.pending_wakes.get() == 0 {
             if let Some(ticket) = self.sched.pick_next() {
                 self.pending_wakes.set(self.pending_wakes.get() + 1);
-                ticket.wake();
+                sim.wake_wait_cell(ticket.cell());
             }
         }
     }
@@ -166,14 +166,15 @@ fn arbiter_model_bytes() -> usize {
 }
 
 /// In-flight state for one [`SharedLink::poll_admit`] traversal:
-/// arrival time (for queue-delay sampling) plus the queued ticket once
-/// the fast path fails. Built per hop with [`LaneAdmit::start`] and
-/// must be driven to admission once started — a queued ticket holds a
-/// scheduler slot.
+/// arrival time (for queue-delay sampling) plus the wait cell of the
+/// queued entry once the fast path fails. Built per hop with
+/// [`LaneAdmit::start`] and must be driven to admission once started —
+/// a queued entry holds a scheduler slot and a wait cell.
 pub struct LaneAdmit {
     arrival: SimTime,
+    /// [`WaitCell::NONE`] while not queued.
+    cell: WaitCell,
     started: bool,
-    ticket: Option<Rc<PortTicket>>,
 }
 
 impl LaneAdmit {
@@ -181,15 +182,15 @@ impl LaneAdmit {
     pub fn start(now: SimTime) -> LaneAdmit {
         LaneAdmit {
             arrival: now,
+            cell: WaitCell::NONE,
             started: false,
-            ticket: None,
         }
     }
 
-    /// Whether the admission holds a queued ticket (it is parked, or
+    /// Whether the admission holds a queued entry (it is parked, or
     /// woken and not yet polled).
     pub fn is_queued(&self) -> bool {
-        self.ticket.is_some()
+        self.cell != WaitCell::NONE
     }
 }
 
@@ -289,18 +290,15 @@ impl SharedLink {
                 lane.sample_queue_delay(self.sim.now().since(st.arrival));
                 return true;
             }
-            let ticket = PortTicket::new(flow, wire_len as u64);
-            lane.sched.enqueue(Rc::clone(&ticket));
-            lane.kick();
-            st.ticket = Some(ticket);
+            st.cell = self.sim.wait_cell();
+            lane.sched
+                .enqueue(PortTicket::on_cell(flow, wire_len as u64, st.cell));
+            lane.kick(&self.sim);
         }
         loop {
-            let ticket = st.ticket.as_ref().expect("LaneAdmit ticket state");
-            if !ticket.is_woken() {
-                ticket.park(waker_factory());
+            if !self.sim.poll_wait_cell(st.cell, waker_factory) {
                 return false;
             }
-            ticket.rearm();
             lane.pending_wakes.set(lane.pending_wakes.get() - 1);
             if !lane.busy.get() {
                 break;
@@ -308,12 +306,12 @@ impl SharedLink {
             // Slot stolen by a fast-path arrival between our wake and
             // our poll: refund the pick and re-queue.
             lane.sched.ungrant(flow, wire_len as u64);
-            lane.sched.enqueue(Rc::clone(ticket));
-            lane.kick();
+            lane.sched
+                .enqueue(PortTicket::on_cell(flow, wire_len as u64, st.cell));
+            lane.kick(&self.sim);
         }
-        if let Some(t) = st.ticket.take() {
-            PortTicket::recycle(t);
-        }
+        self.sim.free_wait_cell(st.cell);
+        st.cell = WaitCell::NONE;
         lane.busy.set(true);
         lane.sample_queue_delay(self.sim.now().since(st.arrival));
         true
@@ -331,7 +329,7 @@ impl SharedLink {
         lane.meter.record(self.sim.now(), payload_len as u64);
         lane.datagrams.inc();
         lane.busy.set(false);
-        lane.kick();
+        lane.kick(&self.sim);
     }
 
     /// Datagrams queued for the `dir` lane, not counting the one on the
@@ -374,7 +372,7 @@ impl SharedLink {
     /// Modeled resident bytes of this link: the pinned semaphore-era
     /// structural model (so the flyweight ledger is comparable across
     /// policies) plus the *live* per-lane scheduler state — DRR deficit
-    /// tables, rings, queued-ticket storage — and any enabled
+    /// tables, rings, queued-entry storage — and any enabled
     /// queue-delay sample pools. Under FIFO with sampling off this is
     /// exactly the pre-refactor figure.
     pub fn resident_bytes(&self) -> usize {
@@ -821,69 +819,171 @@ mod replay_tests {
     use nfsperf_sim::proptest::{check, CaseOutcome};
     use nfsperf_sim::{prop_assert_eq, Semaphore};
 
-    /// One arrival: (spawn delay µs, wire bytes, source flow).
-    type Arrival = (u64, u64, u32);
+    /// One arrival: (spawn delay µs, wire bytes, rounds, whether it is a
+    /// taskless transmitter driven off a direct waker). A transmitter
+    /// sends its next datagram the moment the last one leaves the wire,
+    /// `rounds` in all — the release-then-arrive pattern that lets a
+    /// fast-path arrival barge past the waiter the release just woke.
+    /// Arrival `i` sends as flow `i % 4`.
+    type Arrival = (u64, u64, u8, bool);
 
-    /// Runs an arrival script through a [`SharedLink`] lane under
-    /// `policy`; returns each datagram's traverse-completion nanosecond,
-    /// indexed by script position.
-    fn run_script_lane(policy: &PortPolicy, script: &[Arrival]) -> Vec<u64> {
-        let sim = Sim::new();
-        let link = SharedLink::with_policy(&sim, "replay", NicSpec::fast_ethernet(), policy);
-        let done: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![0; script.len()]));
-        let mut handles = Vec::new();
-        for (i, &(delay, wire, flow)) in script.iter().enumerate() {
-            let sim2 = sim.clone();
-            let link = Rc::clone(&link);
-            let done = Rc::clone(&done);
-            handles.push(sim.spawn(async move {
-                sim2.sleep(SimDuration::from_micros(delay)).await;
-                link.traverse(flow, LinkDir::ToServer, wire as usize, wire as usize)
-                    .await;
-                done.borrow_mut()[i] = sim2.now().as_nanos();
-            }));
-        }
-        sim.run_until(async move {
-            for h in handles {
-                h.await;
-            }
-        });
-        Rc::try_unwrap(done).unwrap().into_inner()
+    /// The two lanes a script can run against: a [`SharedLink`] lane, or
+    /// the raw one-permit semaphore lane the link used before port
+    /// scheduling existed.
+    #[derive(Clone)]
+    enum Wire {
+        Link(Rc<SharedLink>),
+        Sem(Rc<Semaphore>),
     }
 
-    /// The same script against the raw one-permit semaphore lane the
-    /// link used before port scheduling existed (the old `traverse`
-    /// body, verbatim).
-    fn run_script_semaphore(script: &[Arrival]) -> Vec<u64> {
-        let sim = Sim::new();
+    /// Per-arrival state of a taskless transmitter: its admission
+    /// machines (one per wire kind), datagrams sent and whether one is
+    /// on the wire.
+    struct Taskless {
+        lane: LaneAdmit,
+        sem: nfsperf_sim::SemAcquire,
+        rounds: u8,
+        sending: bool,
+    }
+
+    /// Runs an arrival script through `wire`: task arrivals `traverse`
+    /// (or acquire, sleep the wire time, release) in a spawned task;
+    /// taskless ones drive the lane's poll machine from an event handler
+    /// that parks direct wakers. Returns each transmitter's completion
+    /// nanosecond, indexed by script position.
+    fn run_script(sim: &Sim, wire: Wire, script: &[Arrival]) -> Vec<u64> {
         let spec = NicSpec::fast_ethernet();
-        let wire_sem = Rc::new(Semaphore::new(1));
         let done: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![0; script.len()]));
+        let states: Rc<RefCell<Vec<Taskless>>> = Rc::new(RefCell::new(
+            (0..script.len())
+                .map(|_| Taskless {
+                    lane: LaneAdmit::start(SimTime::ZERO),
+                    sem: Default::default(),
+                    rounds: 0,
+                    sending: false,
+                })
+                .collect(),
+        ));
+        let id: Rc<Cell<Option<nfsperf_sim::EventHandlerId>>> = Rc::new(Cell::new(None));
+        let handler = {
+            let (s, wire, done, states, id) = (
+                sim.clone(),
+                wire.clone(),
+                Rc::clone(&done),
+                Rc::clone(&states),
+                Rc::clone(&id),
+            );
+            let script = script.to_vec();
+            sim.register_event_handler(Rc::new(move |data: u64| {
+                let i = data as usize;
+                let (_, bytes, rounds, _) = script[i];
+                let h = id.get().expect("handler id");
+                let mut states = states.borrow_mut();
+                let st = &mut states[i];
+                if st.sending {
+                    // Off the wire: release, then send again at once.
+                    st.sending = false;
+                    st.rounds += 1;
+                    match &wire {
+                        Wire::Link(l) => l.finish_traverse(LinkDir::ToServer, bytes as usize),
+                        Wire::Sem(sem) => sem.release_one(),
+                    }
+                    if st.rounds == rounds {
+                        done.borrow_mut()[i] = s.now().as_nanos();
+                        return;
+                    }
+                }
+                if !st.lane.is_queued() {
+                    // A new datagram (a queued one re-polls its machine).
+                    st.lane = LaneAdmit::start(s.now());
+                }
+                let mut wf = || s.direct_waker(h, i as u32);
+                let admitted = match &wire {
+                    Wire::Link(l) => l.poll_admit(
+                        &mut st.lane,
+                        LinkDir::ToServer,
+                        i as u32 % 4,
+                        bytes as usize,
+                        &mut wf,
+                    ),
+                    Wire::Sem(sem) => sem.poll_acquire(&mut st.sem, &mut wf),
+                };
+                if admitted {
+                    st.sem = Default::default();
+                    st.sending = true;
+                    let at = s.now() + spec.transfer_time(bytes as usize);
+                    s.schedule_direct(at, h, data);
+                }
+            }))
+        };
+        id.set(Some(handler));
         let mut handles = Vec::new();
-        for (i, &(delay, wire, _flow)) in script.iter().enumerate() {
-            let sim2 = sim.clone();
-            let wire_sem = Rc::clone(&wire_sem);
-            let done = Rc::clone(&done);
+        for (i, &(delay, bytes, rounds, taskless)) in script.iter().enumerate() {
+            if taskless {
+                if delay == 0 {
+                    sim.post_event(handler, i as u64);
+                } else {
+                    sim.schedule_direct(SimTime(delay * 1_000), handler, i as u64);
+                }
+                continue;
+            }
+            let (sim2, wire, done) = (sim.clone(), wire.clone(), Rc::clone(&done));
             handles.push(sim.spawn(async move {
                 sim2.sleep(SimDuration::from_micros(delay)).await;
-                {
-                    let _wire = wire_sem.acquire().await;
-                    sim2.sleep(spec.transfer_time(wire as usize)).await;
+                for _ in 0..rounds {
+                    match &wire {
+                        Wire::Link(l) => {
+                            let len = bytes as usize;
+                            l.traverse(i as u32 % 4, LinkDir::ToServer, len, len).await
+                        }
+                        Wire::Sem(sem) => {
+                            let _wire = sem.acquire().await;
+                            sim2.sleep(spec.transfer_time(bytes as usize)).await;
+                        }
+                    }
                 }
                 done.borrow_mut()[i] = sim2.now().as_nanos();
             }));
         }
+        let s = sim.clone();
+        let script2 = script.to_vec();
         sim.run_until(async move {
             for h in handles {
                 h.await;
             }
+            // Let the taskless transmitters drain too.
+            let unfinished = |st: &Taskless, a: &Arrival| a.3 && st.rounds < a.2;
+            while (states.borrow().iter().zip(&script2)).any(|(st, a)| unfinished(st, a)) {
+                s.sleep(SimDuration::from_micros(1)).await;
+            }
         });
-        Rc::try_unwrap(done).unwrap().into_inner()
+        sim.teardown();
+        let out = done.borrow().clone();
+        out
+    }
+
+    /// Runs a script through a [`SharedLink`] lane under `policy`.
+    fn run_script_lane(policy: &PortPolicy, script: &[Arrival]) -> Vec<u64> {
+        let sim = Sim::new();
+        let link = SharedLink::with_policy(&sim, "replay", NicSpec::fast_ethernet(), policy);
+        let out = run_script(&sim, Wire::Link(Rc::clone(&link)), script);
+        assert_eq!(link.queued(LinkDir::ToServer), 0);
+        assert_eq!(sim.live_wait_cells(), 0, "every wait cell freed");
+        out
+    }
+
+    /// The same script against the raw one-permit semaphore lane (the
+    /// old `traverse` body, verbatim).
+    fn run_script_semaphore(script: &[Arrival]) -> Vec<u64> {
+        let sim = Sim::new();
+        run_script(&sim, Wire::Sem(Rc::new(Semaphore::new(1))), script)
     }
 
     /// FIFO bit-compatibility: on randomized arrival scripts — bursts of
-    /// simultaneous arrivals, barging, slot steals and all — the
-    /// engine-backed FIFO lane must complete every datagram at the
+    /// simultaneous arrivals, a transmitter's next datagram barging past
+    /// the waiter its release woke (which re-queues), and task
+    /// transmitters mixed with taskless ones parked on direct wakers —
+    /// the engine-backed FIFO lane must complete every datagram at the
     /// identical simulated nanosecond the raw semaphore lane did.
     #[test]
     fn prop_port_fifo_replays_semaphore_lane() {
@@ -891,13 +991,22 @@ mod replay_tests {
             "prop_port_fifo_replays_semaphore_lane",
             |g| {
                 g.vec(1, 24, |g| {
-                    (g.u64_in(0, 300), g.u64_in(64, 9000), g.u32_in(0, 3))
+                    (
+                        g.u64_in(0, 300),
+                        g.u64_in(64, 9000),
+                        g.u8_in(1, 3),
+                        g.any_bool(),
+                    )
                 })
             },
             |script| {
+                // Shrinking may reach empty datagrams or zero rounds;
+                // neither is a transmitter.
+                let script: Vec<Arrival> =
+                    script.iter().map(|&(d, b, r, t)| (d, b.max(64), r.max(1), t)).collect();
                 prop_assert_eq!(
-                    run_script_lane(&PortPolicy::Fifo, script),
-                    run_script_semaphore(script)
+                    run_script_lane(&PortPolicy::Fifo, &script),
+                    run_script_semaphore(&script)
                 );
                 CaseOutcome::Pass
             },
@@ -905,20 +1014,31 @@ mod replay_tests {
     }
 
     /// Fixed-script FIFO replay for the scenarios the property test may
-    /// not hit every run: simultaneous arrivals and barge-prone gaps.
+    /// not hit every run: simultaneous arrivals and barge-prone gaps,
+    /// all-task and mixed with taskless transmitters.
     #[test]
     fn port_fifo_replays_semaphore_on_barge_heavy_scripts() {
-        let scripts: &[&[Arrival]] = &[
-            &[(0, 1500, 0), (0, 1500, 1), (0, 1500, 2), (0, 1500, 0)],
-            &[(0, 9000, 0), (100, 64, 1), (100, 64, 2), (700, 1500, 0), (701, 64, 1)],
-            &[(0, 64, 0), (1, 64, 0), (2, 64, 0), (3, 9000, 1), (3, 64, 2), (500, 128, 0)],
+        let scripts: &[&[(u64, u64, u8)]] = &[
+            &[(0, 1500, 1), (0, 1500, 1), (0, 1500, 1), (0, 1500, 1)],
+            &[(0, 9000, 1), (100, 64, 2), (100, 64, 1), (700, 1500, 1), (701, 64, 1)],
+            &[(0, 64, 3), (1, 64, 1), (2, 64, 2), (3, 9000, 1), (3, 64, 1), (500, 128, 1)],
         ];
         for (i, script) in scripts.iter().enumerate() {
-            assert_eq!(
-                run_script_lane(&PortPolicy::Fifo, script),
-                run_script_semaphore(script),
-                "script {i}"
-            );
+            for mix in 0..3usize {
+                // 0: every transmitter a task; 1: odd ones taskless; 2: all.
+                let script: Vec<Arrival> = script
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &(d, b, r))| {
+                        (d, b, r, mix == 2 || (mix == 1 && j % 2 == 1))
+                    })
+                    .collect();
+                assert_eq!(
+                    run_script_lane(&PortPolicy::Fifo, &script),
+                    run_script_semaphore(&script),
+                    "script {i} mix {mix}"
+                );
+            }
         }
     }
 

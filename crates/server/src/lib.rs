@@ -19,8 +19,8 @@ pub use disk::DiskModel;
 pub use fs::{FsState, ROOT_FILEID};
 pub use nvram::{Nvram, NvramAdmit};
 pub use sched::{
-    ClassedDrr, Drr, Fifo, LatencyDigest, OpClass, ReqMeta, SchedPolicy, Scheduler, ServiceEngine,
-    SvcAdmit, SvcSlot, Ticket,
+    ClassedDrr, Drr, Fifo, LatencyDigest, OpClass, ReqEntry, ReqMeta, SchedPolicy, Scheduler,
+    ServiceEngine, SvcAdmit, SvcSlot,
 };
 pub use server::{
     BackendConfig, DiskKind, FlyStep, FlyweightOp, NfsServer, PerClientStats, ServerConfig,
@@ -593,11 +593,12 @@ mod tests {
     }
 
     /// One op is embedded in every in-flight flyweight RPC record, and a
-    /// million-client launch burst holds a million of them.
+    /// million-client launch burst holds a million of them. Its service
+    /// wait holds a 4-byte wait-cell handle, not a ticket `Rc`.
     #[test]
     fn flyweight_op_stays_compact() {
         assert!(
-            std::mem::size_of::<FlyweightOp>() <= 64,
+            std::mem::size_of::<FlyweightOp>() <= 48,
             "FlyweightOp grew to {} bytes",
             std::mem::size_of::<FlyweightOp>()
         );

@@ -38,7 +38,7 @@ use std::future::Future;
 use std::rc::Rc;
 use std::task::Waker;
 
-use nfsperf_sim::{poll_machine, Counter, Sim, SimDuration, SimTime};
+use nfsperf_sim::{poll_machine, Counter, Sim, SimDuration, SimTime, WaitCell};
 
 pub use nfsperf_net::WeightTable;
 pub use nfsperf_sim::LatencyDigest;
@@ -73,96 +73,57 @@ pub struct ReqMeta {
     pub arrival: SimTime,
 }
 
-/// A queued admission request: scheduling metadata plus the woken/waker
-/// handshake (the same shape as the simulator's `WaitNode`). The engine
-/// parks the requester's waker on its ticket; the scheduler hands
-/// tickets back from `pick_next` and the engine wakes them.
-pub struct Ticket {
-    meta: Cell<ReqMeta>,
-    woken: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
+/// One queued admission, held by value in the scheduler's queues: the
+/// request's scheduling metadata in 32-bit fields plus the handle of the
+/// [`WaitCell`] its requester parks on. The engine claims the cell when
+/// the request queues, wakes it when the scheduler picks the entry, and
+/// the requester frees it once admitted.
+#[derive(Debug, Clone, Copy)]
+pub struct ReqEntry {
+    arrival: SimTime,
+    client: u32,
+    bytes: u32,
+    cell: WaitCell,
+    class: OpClass,
 }
 
-/// Free-list bound for recycled tickets; admissions beyond it fall back
-/// to plain allocation.
-const TICKET_POOL_CAP: usize = 64;
-
-thread_local! {
-    /// Recycled tickets, so steady-state admission allocates nothing.
-    /// Like the simulator's wait-node pool, `Ticket::new` only reuses a
-    /// ticket whose strong count has fallen back to one (the pool's own
-    /// reference): a scheduler queue still holding a clone can never
-    /// see its ticket repurposed.
-    static TICKET_POOL: RefCell<Vec<Rc<Ticket>>> = const { RefCell::new(Vec::new()) };
-}
-
-impl Ticket {
-    fn new(meta: ReqMeta) -> Rc<Ticket> {
-        TICKET_POOL.with(|p| {
-            let mut free = p.borrow_mut();
-            while let Some(t) = free.pop() {
-                if Rc::strong_count(&t) == 1 {
-                    t.meta.set(meta);
-                    t.woken.set(false);
-                    t.waker.borrow_mut().take();
-                    return t;
-                }
-                // A holder is still alive somewhere; forget this one.
-            }
-            Rc::new(Ticket {
-                meta: Cell::new(meta),
-                woken: Cell::new(false),
-                waker: RefCell::new(None),
-            })
-        })
-    }
-
-    /// Returns a retired ticket to the pool.
-    fn recycle(t: Rc<Ticket>) {
-        TICKET_POOL.with(|p| {
-            let mut free = p.borrow_mut();
-            if free.len() < TICKET_POOL_CAP {
-                free.push(t);
-            }
-        });
+impl ReqEntry {
+    /// Builds the entry for `meta`, parked on `cell`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the client id or the payload does not fit 32 bits.
+    pub fn new(meta: ReqMeta, cell: WaitCell) -> ReqEntry {
+        ReqEntry {
+            arrival: meta.arrival,
+            client: u32::try_from(meta.client).expect("client id exceeds 32 bits"),
+            bytes: u32::try_from(meta.bytes).expect("request payload exceeds 32 bits"),
+            cell,
+            class: meta.class,
+        }
     }
 
     /// The request's scheduling metadata.
     pub fn meta(&self) -> ReqMeta {
-        self.meta.get()
-    }
-
-    fn wake(&self) {
-        self.woken.set(true);
-        if let Some(w) = self.waker.borrow_mut().take() {
-            w.wake();
+        ReqMeta {
+            client: self.client as usize,
+            class: self.class,
+            bytes: u64::from(self.bytes),
+            arrival: self.arrival,
         }
     }
 
-    /// Re-arms the handshake so the ticket can be queued again after a
-    /// slot steal.
-    fn rearm(&self) {
-        self.woken.set(false);
-    }
-
-    /// Whether the engine has picked and woken this ticket.
-    fn is_woken(&self) -> bool {
-        self.woken.get()
-    }
-
-    /// Stores a waker for the next wake. Callers must check
-    /// [`Ticket::is_woken`] first; parking an already-woken ticket would
-    /// strand the waker.
-    fn park(&self, waker: Waker) {
-        *self.waker.borrow_mut() = Some(waker);
+    /// The wait cell the requester is parked on.
+    pub fn cell(&self) -> WaitCell {
+        self.cell
     }
 }
 
 /// A request-ordering policy.
 ///
 /// The [`ServiceEngine`] owns the slots; the scheduler owns the order.
-/// `enqueue` admits a ticket to the queue, `pick_next` removes and
-/// returns the next ticket to run (recording any grant state such as an
+/// `enqueue` admits an entry to the queue, `pick_next` removes and
+/// returns the next entry to run (recording any grant state such as an
 /// in-flight quota), and `on_complete` retires a request when its slot is
 /// released. `try_grant`/`ungrant` bracket the engine's fast path and
 /// slot-steal recovery; policies without admission state keep the
@@ -171,13 +132,13 @@ pub trait Scheduler {
     /// Policy name for reports (`fifo`, `drr`, `classed-drr`).
     fn label(&self) -> &'static str;
 
-    /// Admits a ticket to the queue.
-    fn enqueue(&self, ticket: Rc<Ticket>);
+    /// Admits an entry to the queue.
+    fn enqueue(&self, entry: ReqEntry);
 
-    /// Removes and returns the next ticket to dispatch, or `None` if the
+    /// Removes and returns the next entry to dispatch, or `None` if the
     /// queue is empty or every queued client is at its in-flight quota.
     /// Granting (quota accounting) happens here.
-    fn pick_next(&self) -> Option<Rc<Ticket>>;
+    fn pick_next(&self) -> Option<ReqEntry>;
 
     /// Fast path: may `meta` start service immediately, bypassing the
     /// (empty) queue? On `true` the grant is recorded.
@@ -186,20 +147,20 @@ pub trait Scheduler {
     }
 
     /// Reverts a grant whose slot was stolen before service started; the
-    /// ticket re-enters the queue via `enqueue`.
+    /// entry re-enters the queue via `enqueue`.
     fn ungrant(&self, _meta: &ReqMeta) {}
 
     /// Retires a granted request when its service slot is released.
     fn on_complete(&self, _meta: &ReqMeta) {}
 
-    /// Number of queued tickets.
+    /// Number of queued entries.
     fn queued(&self) -> usize;
 }
 
 /// Arrival-order scheduling — the pre-subsystem semaphore behavior.
 #[derive(Default)]
 pub struct Fifo {
-    queue: RefCell<VecDeque<Rc<Ticket>>>,
+    queue: RefCell<VecDeque<ReqEntry>>,
 }
 
 impl Scheduler for Fifo {
@@ -207,11 +168,11 @@ impl Scheduler for Fifo {
         "fifo"
     }
 
-    fn enqueue(&self, ticket: Rc<Ticket>) {
-        self.queue.borrow_mut().push_back(ticket);
+    fn enqueue(&self, entry: ReqEntry) {
+        self.queue.borrow_mut().push_back(entry);
     }
 
-    fn pick_next(&self) -> Option<Rc<Ticket>> {
+    fn pick_next(&self) -> Option<ReqEntry> {
         self.queue.borrow_mut().pop_front()
     }
 
@@ -223,7 +184,7 @@ impl Scheduler for Fifo {
 /// Per-client scheduling state for the DRR core.
 struct DrrClient {
     /// One FIFO per class, drained in class order (index 0 first).
-    queues: Vec<VecDeque<Rc<Ticket>>>,
+    queues: Vec<VecDeque<ReqEntry>>,
     /// Byte credit accumulated while waiting in the active ring.
     deficit: u64,
     /// Requests granted (picked or fast-pathed) and not yet completed.
@@ -320,20 +281,20 @@ impl Scheduler for DrrCore {
         self.label
     }
 
-    fn enqueue(&self, ticket: Rc<Ticket>) {
-        let meta = ticket.meta();
-        let class = self.class_of(meta.class);
+    fn enqueue(&self, entry: ReqEntry) {
+        let client = entry.client as usize;
+        let class = self.class_of(entry.class);
         let mut inner = self.inner.borrow_mut();
-        inner.ensure(meta.client, self.classes);
-        inner.clients[meta.client].queues[class].push_back(ticket);
+        inner.ensure(client, self.classes);
+        inner.clients[client].queues[class].push_back(entry);
         inner.queued += 1;
-        if !inner.clients[meta.client].in_ring {
-            inner.clients[meta.client].in_ring = true;
-            inner.ring.push_back(meta.client);
+        if !inner.clients[client].in_ring {
+            inner.clients[client].in_ring = true;
+            inner.ring.push_back(client);
         }
     }
 
-    fn pick_next(&self) -> Option<Rc<Ticket>> {
+    fn pick_next(&self) -> Option<ReqEntry> {
         let mut inner = self.inner.borrow_mut();
         // Visits since the last top-up or ring change; once it spans the
         // whole ring, every queued client is quota-blocked.
@@ -364,7 +325,7 @@ impl Scheduler for DrrCore {
                 .iter()
                 .position(|q| !q.is_empty())
                 .expect("has_work checked above");
-            let cost = DrrCore::cost(inner.clients[client].queues[class][0].meta().bytes);
+            let cost = DrrCore::cost(u64::from(inner.clients[client].queues[class][0].bytes));
             if inner.clients[client].deficit < cost {
                 inner.clients[client].deficit += self.topup(client);
                 inner.ring.rotate_left(1);
@@ -374,14 +335,14 @@ impl Scheduler for DrrCore {
             let cl = &mut inner.clients[client];
             cl.deficit -= cost;
             cl.granted += 1;
-            let ticket = cl.queues[class].pop_front().expect("non-empty class queue");
+            let entry = cl.queues[class].pop_front().expect("non-empty class queue");
             inner.queued -= 1;
             if !inner.clients[client].has_work() {
                 inner.ring.pop_front();
                 inner.clients[client].in_ring = false;
                 inner.clients[client].deficit = 0;
             }
-            return Some(ticket);
+            return Some(entry);
         }
     }
 
@@ -400,7 +361,7 @@ impl Scheduler for DrrCore {
         let mut inner = self.inner.borrow_mut();
         let cl = &mut inner.clients[meta.client];
         cl.granted -= 1;
-        // Refund the byte cost pick_next charged; the ticket is about to
+        // Refund the byte cost pick_next charged; the entry is about to
         // re-enter the queue and would otherwise pay twice.
         cl.deficit += DrrCore::cost(meta.bytes);
     }
@@ -438,10 +399,10 @@ impl Scheduler for Drr {
     fn label(&self) -> &'static str {
         self.0.label()
     }
-    fn enqueue(&self, ticket: Rc<Ticket>) {
-        self.0.enqueue(ticket);
+    fn enqueue(&self, entry: ReqEntry) {
+        self.0.enqueue(entry);
     }
-    fn pick_next(&self) -> Option<Rc<Ticket>> {
+    fn pick_next(&self) -> Option<ReqEntry> {
         self.0.pick_next()
     }
     fn try_grant(&self, meta: &ReqMeta) -> bool {
@@ -474,10 +435,10 @@ impl Scheduler for ClassedDrr {
     fn label(&self) -> &'static str {
         self.0.label()
     }
-    fn enqueue(&self, ticket: Rc<Ticket>) {
-        self.0.enqueue(ticket);
+    fn enqueue(&self, entry: ReqEntry) {
+        self.0.enqueue(entry);
     }
-    fn pick_next(&self) -> Option<Rc<Ticket>> {
+    fn pick_next(&self) -> Option<ReqEntry> {
         self.0.pick_next()
     }
     fn try_grant(&self, meta: &ReqMeta) -> bool {
@@ -580,11 +541,14 @@ impl SchedPolicy {
 /// - fast path: a free slot with an empty queue is taken immediately
 ///   (this can barge past a woken-but-not-yet-running waiter, exactly as
 ///   the semaphore allowed);
-/// - a released slot wakes at most one queued ticket (the scheduler's
-///   pick), and a woken ticket that finds its slot stolen re-queues at
-///   the back;
-/// - `pending_wakes` tracks picks whose tasks have not yet run, so a
-///   release never wakes two tickets for one slot.
+/// - a released slot wakes at most one queued entry (the scheduler's
+///   pick), and a woken requester that finds its slot stolen re-queues
+///   at the back;
+/// - `pending_wakes` tracks picks whose requesters have not yet run, so
+///   a release never wakes two entries for one slot.
+///
+/// Each queued request is a by-value [`ReqEntry`] whose requester parks
+/// on a [`WaitCell`] of the world's shared slab.
 pub struct ServiceEngine {
     sim: Sim,
     policy: SchedPolicy,
@@ -592,6 +556,8 @@ pub struct ServiceEngine {
     slots: usize,
     free: Cell<usize>,
     pending_wakes: Cell<usize>,
+    /// Most entries ever queued at once.
+    queued_high_water: Cell<usize>,
     enqueued_bytes: Counter,
     served_bytes: Counter,
     queue_delay: RefCell<Vec<Vec<SimDuration>>>,
@@ -626,6 +592,7 @@ impl ServiceEngine {
             slots,
             free: Cell::new(slots),
             pending_wakes: Cell::new(0),
+            queued_high_water: Cell::new(0),
             enqueued_bytes: Counter::new(),
             served_bytes: Counter::new(),
             queue_delay: RefCell::new(Vec::new()),
@@ -664,6 +631,11 @@ impl ServiceEngine {
     /// Requests waiting for a slot.
     pub fn queued(&self) -> usize {
         self.sched.queued()
+    }
+
+    /// The most requests ever waiting for a slot at once.
+    pub fn queued_high_water(&self) -> usize {
+        self.queued_high_water.get()
     }
 
     /// Payload bytes of every request admitted so far.
@@ -733,26 +705,21 @@ impl ServiceEngine {
                 self.take_slot(&meta);
                 return true;
             }
-            let ticket = Ticket::new(meta);
-            self.sched.enqueue(Rc::clone(&ticket));
+            st.cell = self.sim.wait_cell();
+            self.enqueue(ReqEntry::new(meta, st.cell));
             // A new arrival can be eligible even while slots idle (e.g.
             // every other client is quota-blocked); under FIFO this never
             // fires — a slot only idles when the queue is empty.
             self.kick();
-            st.ticket = Some(ticket);
         }
         loop {
-            let ticket = st.ticket.as_ref().expect("SvcAdmit ticket state");
-            if !ticket.is_woken() {
-                ticket.park(waker_factory());
+            if !self.sim.poll_wait_cell(st.cell, waker_factory) {
                 return false;
             }
-            ticket.rearm();
             self.pending_wakes.set(self.pending_wakes.get() - 1);
             if self.free.get() > 0 {
-                if let Some(t) = st.ticket.take() {
-                    Ticket::recycle(t);
-                }
+                self.sim.free_wait_cell(st.cell);
+                st.cell = WaitCell::NONE;
                 self.take_slot(&meta);
                 return true;
             }
@@ -760,8 +727,16 @@ impl ServiceEngine {
             // poll: give the grant back and re-queue at the back, as a
             // semaphore waiter re-queues.
             self.sched.ungrant(&meta);
-            self.sched.enqueue(Rc::clone(ticket));
+            self.enqueue(ReqEntry::new(meta, st.cell));
             self.kick();
+        }
+    }
+
+    fn enqueue(&self, entry: ReqEntry) {
+        self.sched.enqueue(entry);
+        let queued = self.sched.queued();
+        if queued > self.queued_high_water.get() {
+            self.queued_high_water.set(queued);
         }
     }
 
@@ -778,9 +753,9 @@ impl ServiceEngine {
     fn kick(&self) {
         while self.free.get() > self.pending_wakes.get() {
             match self.sched.pick_next() {
-                Some(ticket) => {
+                Some(entry) => {
                     self.pending_wakes.set(self.pending_wakes.get() + 1);
-                    ticket.wake();
+                    self.sim.wake_wait_cell(entry.cell());
                 }
                 None => break,
             }
@@ -812,18 +787,29 @@ fn record_sample(store: &RefCell<Vec<Vec<SimDuration>>>, client: usize, sample: 
 
 /// In-flight state for [`ServiceEngine::poll_admit`]; `Default` is the
 /// not-yet-started state. Must be driven to admission once started — a
-/// queued ticket holds scheduler state, just as a parked task does.
-#[derive(Default)]
+/// queued entry holds scheduler state and a wait cell, just as a parked
+/// task does.
 pub struct SvcAdmit {
     started: bool,
-    ticket: Option<Rc<Ticket>>,
+    /// The wait cell of the queued entry; [`WaitCell::NONE`] while not
+    /// queued.
+    cell: WaitCell,
+}
+
+impl Default for SvcAdmit {
+    fn default() -> SvcAdmit {
+        SvcAdmit {
+            started: false,
+            cell: WaitCell::NONE,
+        }
+    }
 }
 
 impl SvcAdmit {
-    /// Whether the machine holds a queued ticket: it is parked, or woken
+    /// Whether the machine holds a queued entry: it is parked, or woken
     /// and not yet polled.
     pub fn is_waiting(&self) -> bool {
-        self.ticket.is_some()
+        self.cell != WaitCell::NONE
     }
 }
 
@@ -854,6 +840,11 @@ mod tests {
             bytes,
             arrival: SimTime::default(),
         }
+    }
+
+    /// A queued entry that parks on no cell (ordering tests only).
+    fn entry(client: usize, class: OpClass, bytes: u64) -> ReqEntry {
+        ReqEntry::new(meta(client, class, bytes), WaitCell::NONE)
     }
 
     /// Drains a scheduler by repeated pick, completing each pick
@@ -894,11 +885,23 @@ mod tests {
         assert!(engine.queue_delay.borrow().len() <= 1);
     }
 
+    /// At a million clients about a million admissions wait in one
+    /// queue: entries are plain values of at most 24 bytes.
+    #[test]
+    fn server_queue_entry_is_compact() {
+        assert!(
+            std::mem::size_of::<ReqEntry>() <= 24,
+            "server queue entry grew to {} bytes",
+            std::mem::size_of::<ReqEntry>()
+        );
+        assert!(std::mem::size_of::<SvcAdmit>() <= 8);
+    }
+
     #[test]
     fn fifo_serves_in_arrival_order() {
         let sched = Fifo::default();
         for (client, bytes) in [(2usize, 8192u64), (0, 512), (1, 32768), (0, 8192)] {
-            sched.enqueue(Ticket::new(meta(client, OpClass::Write, bytes)));
+            sched.enqueue(entry(client, OpClass::Write, bytes));
         }
         assert_eq!(drain(&sched), vec![2, 0, 1, 0]);
         assert_eq!(sched.queued(), 0);
@@ -911,10 +914,10 @@ mod tests {
     fn drr_quantum_accounting_is_byte_weighted() {
         let sched = Drr::new(8192);
         for _ in 0..8 {
-            sched.enqueue(Ticket::new(meta(0, OpClass::Write, 8192)));
+            sched.enqueue(entry(0, OpClass::Write, 8192));
         }
         for _ in 0..2 {
-            sched.enqueue(Ticket::new(meta(1, OpClass::Write, 32768)));
+            sched.enqueue(entry(1, OpClass::Write, 32768));
         }
         assert_eq!(drain(&sched), vec![0, 0, 0, 0, 1, 0, 0, 0, 0, 1]);
     }
@@ -926,10 +929,10 @@ mod tests {
         let sched = Drr::weighted(8192, WeightTable::new(vec![1, 4]));
         assert_eq!(sched.label(), "wdrr");
         for _ in 0..4 {
-            sched.enqueue(Ticket::new(meta(0, OpClass::Write, 8192)));
+            sched.enqueue(entry(0, OpClass::Write, 8192));
         }
         for _ in 0..8 {
-            sched.enqueue(Ticket::new(meta(1, OpClass::Write, 8192)));
+            sched.enqueue(entry(1, OpClass::Write, 8192));
         }
         assert_eq!(
             drain(&sched),
@@ -940,7 +943,7 @@ mod tests {
         let uniform = Drr::weighted(8192, WeightTable::uniform());
         for client in [5usize, 9] {
             for _ in 0..2 {
-                uniform.enqueue(Ticket::new(meta(client, OpClass::Write, 8192)));
+                uniform.enqueue(entry(client, OpClass::Write, 8192));
             }
         }
         assert_eq!(drain(&uniform), vec![5, 9, 5, 9]);
@@ -952,10 +955,10 @@ mod tests {
     fn drr_prefix_byte_balance() {
         let sched = Drr::new(8192);
         for _ in 0..16 {
-            sched.enqueue(Ticket::new(meta(0, OpClass::Write, 8192)));
+            sched.enqueue(entry(0, OpClass::Write, 8192));
         }
         for _ in 0..4 {
-            sched.enqueue(Ticket::new(meta(1, OpClass::Write, 32768)));
+            sched.enqueue(entry(1, OpClass::Write, 32768));
         }
         let mut served = [0i64, 0i64];
         let mut picks = 0usize;
@@ -981,9 +984,9 @@ mod tests {
     fn classed_drr_enforces_in_flight_quota() {
         let sched = ClassedDrr::new(32768, 2);
         for _ in 0..5 {
-            sched.enqueue(Ticket::new(meta(0, OpClass::Write, 8192)));
+            sched.enqueue(entry(0, OpClass::Write, 8192));
         }
-        sched.enqueue(Ticket::new(meta(1, OpClass::Write, 8192)));
+        sched.enqueue(entry(1, OpClass::Write, 8192));
 
         let first = sched.pick_next().expect("slot 1");
         assert_eq!(first.meta().client, 0);
@@ -1005,10 +1008,10 @@ mod tests {
         let sched = ClassedDrr::new(32768, 8);
         // A COMMIT backlog arrives first...
         for _ in 0..3 {
-            sched.enqueue(Ticket::new(meta(0, OpClass::Commit, 0)));
+            sched.enqueue(entry(0, OpClass::Commit, 0));
         }
         // ...then a WRITE from the same client.
-        sched.enqueue(Ticket::new(meta(0, OpClass::Write, 8192)));
+        sched.enqueue(entry(0, OpClass::Write, 8192));
         let first = sched.pick_next().expect("pick");
         assert_eq!(first.meta().class, OpClass::Write);
         // The backlog still drains afterwards.
@@ -1121,6 +1124,193 @@ mod tests {
                 "slots={slots} pattern={pattern}"
             );
         }
+    }
+
+    /// One op of a mixed-waiter world: (arrival µs, service µs, rounds,
+    /// whether it is a taskless waiter driven off a direct waker). An op
+    /// re-requests a slot the moment it releases one, `rounds` times in
+    /// all — the release-then-arrive pattern that lets a fast-path
+    /// arrival barge past the waiter the release just woke.
+    type MixedOp = (u64, u64, u8, bool);
+
+    /// The two slot pools a mixed world can run against: the engine
+    /// under FIFO, or the raw semaphore it must replay.
+    #[derive(Clone)]
+    enum Pool {
+        Engine(Rc<ServiceEngine>),
+        Sem(Rc<Semaphore>),
+    }
+
+    impl Pool {
+        /// A slot request from op `i`, arriving now.
+        fn meta(sim: &Sim, i: usize) -> ReqMeta {
+            ReqMeta {
+                client: i % 3,
+                class: OpClass::Write,
+                bytes: 8192,
+                arrival: sim.now(),
+            }
+        }
+    }
+
+    /// Per-op state of a taskless waiter: its admission machines (one
+    /// per pool kind), request, rounds done and whether it holds a slot.
+    #[derive(Default)]
+    struct Taskless {
+        svc: SvcAdmit,
+        sem: nfsperf_sim::SemAcquire,
+        meta: Option<ReqMeta>,
+        rounds: u8,
+        serving: bool,
+    }
+
+    /// Runs `ops` against a pool of `slots`: task ops `admit`/`acquire`
+    /// in a spawned task, taskless ops drive the pool's poll machine from
+    /// an event handler that parks direct wakers. Returns each op's
+    /// completion nanosecond, in op order.
+    fn run_mixed(slots: usize, engine: bool, ops: &[MixedOp]) -> Vec<u64> {
+        let sim = Sim::new();
+        let pool = if engine {
+            Pool::Engine(ServiceEngine::new(&sim, slots, SchedPolicy::Fifo))
+        } else {
+            Pool::Sem(Rc::new(Semaphore::new(slots)))
+        };
+        let done = Rc::new(RefCell::new(vec![0u64; ops.len()]));
+        let states: Rc<RefCell<Vec<Taskless>>> =
+            Rc::new(RefCell::new((0..ops.len()).map(|_| Taskless::default()).collect()));
+        let id: Rc<Cell<Option<nfsperf_sim::EventHandlerId>>> = Rc::new(Cell::new(None));
+        let handler = {
+            let (sim, pool, done, states, id) = (
+                sim.clone(),
+                pool.clone(),
+                Rc::clone(&done),
+                Rc::clone(&states),
+                Rc::clone(&id),
+            );
+            let ops = ops.to_vec();
+            sim.clone().register_event_handler(Rc::new(move |data: u64| {
+                let i = data as usize;
+                let (_, service, rounds, _) = ops[i];
+                let h = id.get().expect("handler id");
+                let mut states = states.borrow_mut();
+                let st = &mut states[i];
+                if st.serving {
+                    // Service over: release, then re-request at once.
+                    st.serving = false;
+                    st.rounds += 1;
+                    let meta = st.meta.take().expect("a served request");
+                    match &pool {
+                        Pool::Engine(e) => e.release(&meta),
+                        Pool::Sem(s) => s.release_one(),
+                    }
+                    if st.rounds == rounds {
+                        done.borrow_mut()[i] = sim.now().0;
+                        return;
+                    }
+                }
+                let meta = *st.meta.get_or_insert_with(|| Pool::meta(&sim, i));
+                let mut wf = || sim.direct_waker(h, i as u32);
+                let admitted = match &pool {
+                    Pool::Engine(e) => e.poll_admit(meta, &mut st.svc, &mut wf),
+                    Pool::Sem(s) => s.poll_acquire(&mut st.sem, &mut wf),
+                };
+                if admitted {
+                    (st.svc, st.sem) = Default::default();
+                    st.serving = true;
+                    let at = sim.now() + SimDuration::from_micros(service);
+                    sim.schedule_direct(at, h, data);
+                }
+            }))
+        };
+        id.set(Some(handler));
+        let mut handles = Vec::new();
+        for (i, &(delay, service, rounds, taskless)) in ops.iter().enumerate() {
+            if taskless {
+                if delay == 0 {
+                    sim.post_event(handler, i as u64);
+                } else {
+                    sim.schedule_direct(SimTime(delay * 1_000), handler, i as u64);
+                }
+                continue;
+            }
+            let (sim2, pool, done) = (sim.clone(), pool.clone(), Rc::clone(&done));
+            handles.push(sim.spawn(async move {
+                sim2.sleep(SimDuration::from_micros(delay)).await;
+                for _ in 0..rounds {
+                    match &pool {
+                        Pool::Engine(e) => {
+                            let slot = e.admit(Pool::meta(&sim2, i)).await;
+                            sim2.sleep(SimDuration::from_micros(service)).await;
+                            drop(slot);
+                        }
+                        Pool::Sem(s) => {
+                            let permit = s.acquire().await;
+                            sim2.sleep(SimDuration::from_micros(service)).await;
+                            drop(permit);
+                        }
+                    }
+                }
+                done.borrow_mut()[i] = sim2.now().0;
+            }));
+        }
+        let s = sim.clone();
+        let states2 = Rc::clone(&states);
+        let ops2 = ops.to_vec();
+        sim.run_until(async move {
+            for h in handles {
+                h.await;
+            }
+            // Let the taskless ops drain too.
+            let unfinished = |st: &Taskless, op: &MixedOp| op.3 && st.rounds < op.2;
+            while (states2.borrow().iter().zip(&ops2)).any(|(st, op)| unfinished(st, op)) {
+                s.sleep(SimDuration::from_micros(1)).await;
+            }
+        });
+        if let Pool::Engine(e) = &pool {
+            assert_eq!(e.queued(), 0);
+            assert_eq!(sim.live_wait_cells(), 0, "every wait cell freed");
+        }
+        sim.teardown();
+        let out = done.borrow().clone();
+        out
+    }
+
+    /// Property: on random mixes of task and taskless waiters — bursts of
+    /// simultaneous arrivals, releases followed at once by a new request
+    /// that barges past the waiter the release woke (which re-queues at
+    /// the back), and direct-waker parks beside task parks — the FIFO
+    /// engine finishes every op at the nanosecond the raw semaphore does.
+    #[test]
+    fn prop_fifo_engine_replays_semaphore_with_mixed_waiters() {
+        check(
+            "prop_fifo_engine_replays_semaphore_with_mixed_waiters",
+            |g| {
+                let slots = g.usize_in(1, 3);
+                // Coarse 10 µs grids make arrivals collide with each
+                // other and with releases.
+                let ops = g.vec(1, 16, |g| {
+                    (
+                        g.u64_in(0, 8) * 10,
+                        g.u64_in(1, 4) * 10,
+                        g.u8_in(1, 3),
+                        g.any_bool(),
+                    )
+                });
+                (slots, ops)
+            },
+            |(slots, ops)| {
+                // Shrinking may reach zero slots, service or rounds; none
+                // of them is a world.
+                let slots = (*slots).max(1);
+                let ops: Vec<MixedOp> =
+                    ops.iter().map(|&(d, s, r, t)| (d, s.max(1), r.max(1), t)).collect();
+                prop_assert_eq!(
+                    run_mixed(slots, true, &ops),
+                    run_mixed(slots, false, &ops)
+                );
+                CaseOutcome::Pass
+            },
+        );
     }
 
     #[test]

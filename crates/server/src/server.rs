@@ -348,7 +348,7 @@ enum FlyWait {
 /// engine, with the `ReqMeta` rebuilt from the op's fields; the arm
 /// through its disk — so the op stores no reference to either. An op must therefore be driven
 /// to [`FlyStep::Done`] once begun: dropping it mid-service would keep
-/// its slot or arm, just as a queued ticket keeps its scheduler slot.
+/// its slot or arm, just as a queued entry keeps its scheduler slot.
 pub struct FlyweightOp {
     arrival: SimTime,
     /// Dirty-cache bytes this op flushes (cache-disk backend only).
@@ -386,7 +386,7 @@ impl FlyweightOp {
         self.stage == FlyStage::Done
     }
 
-    /// The wait point holding a queue entry (wait node or ticket) for
+    /// The wait point holding a queue entry (wait node or wait cell) for
     /// this op — it is parked there, or woken and not yet polled — or
     /// `None` while it runs, sleeps or is done.
     pub fn queued_at(&self) -> Option<WaitPoint> {

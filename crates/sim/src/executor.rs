@@ -54,23 +54,40 @@ const EVENT_TAG: usize = 1 << (usize::BITS - 1);
 const DIRECT_TAG: usize = 1 << (usize::BITS - 2);
 /// Generations are 31 bits so a tagged `(gen, slot)` pair plus the tag
 /// fits one ready-queue word.
-const EVENT_GEN_MASK: u32 = 0x7fff_ffff;
+pub(crate) const EVENT_GEN_MASK: u32 = 0x7fff_ffff;
 /// Direct words carry the handler in bits 32..48.
 const DIRECT_HANDLER_MAX: u32 = 1 << 16;
 /// Direct words carry the world's route (see [`DIRECT_ROUTES`]) in bits
 /// 48..62, below [`DIRECT_TAG`].
 const DIRECT_ROUTE_SHIFT: u32 = 48;
 const DIRECT_ROUTE_MAX: usize = 1 << 14;
+/// Wake words with this bit set (and both tags above clear) name a
+/// foreign [`Waker`] parked in [`SimCore::foreign`] by index. They only
+/// ever sit in the wheel or a wait cell, never in the ready queue; task
+/// ids stay far below this bit.
+pub(crate) const FOREIGN_TAG: usize = 1 << (usize::BITS - 3);
 // The tagged encoding needs a 64-bit ready-queue word.
 const _: () = assert!(usize::BITS == 64, "slab events need 64-bit usize");
 
+// Wait-cell states that are not wake words: foreign indices stay below
+// 2^32, so these sit in the foreign range and can never collide with a
+// parked word.
+/// A claimed cell with nothing parked and no wake delivered.
+const CELL_EMPTY: u64 = (FOREIGN_TAG | (1 << 40)) as u64;
+/// A woken cell (its parked word, if any, already fired).
+const CELL_WOKEN: u64 = (FOREIGN_TAG | (2 << 40)) as u64;
+/// A free cell; the low 32 bits link the next free cell.
+const CELL_FREE: u64 = (FOREIGN_TAG | (3 << 40)) as u64;
+/// End of the free-cell list.
+const NO_CELL: u32 = u32::MAX;
+
 #[inline]
-fn encode_event(slot: u32, gen: u32) -> usize {
+pub(crate) fn encode_event(slot: u32, gen: u32) -> usize {
     EVENT_TAG | ((gen as usize) << 32) | slot as usize
 }
 
 #[inline]
-fn encode_direct(route: usize, handler: u32, data: u32) -> usize {
+pub(crate) fn encode_direct(route: usize, handler: u32, data: u32) -> usize {
     DIRECT_TAG | (route << DIRECT_ROUTE_SHIFT) | ((handler as usize) << 32) | data as usize
 }
 
@@ -245,8 +262,8 @@ impl Drop for DirectRoute {
 
 /// Pushes a direct waker's word onto its world's ready queue. Safe only
 /// under the woken-at-most-once-per-park contract every primitive in
-/// [`crate::sync`] (and the lane/server ticket handshakes built on the
-/// same shape) provides: a parked direct waker fires once, and its owner
+/// [`crate::sync`] (and the lane/server wait-cell handshakes built on
+/// the same shape) provides: a parked direct waker fires once, and its owner
 /// is guaranteed to still be parked at that stage when the dispatch
 /// runs, so no generation check is needed.
 fn wake_direct(word: usize) {
@@ -274,22 +291,25 @@ static DIRECT_WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
     |_| {},
 );
 
-/// What a wheel timer does when it fires: wake a task waker, or push an
-/// already-encoded slab-event entry onto the ready queue.
+/// A wake word: everything a wheel timer or a [`WaitCell`] needs to
+/// deliver one wake, in 64 bits.
 ///
-/// Events must NOT arm timers through their slot waker: the cached waker
-/// reads the slot's *current* generation at wake time, and a stale timer
-/// left in the wheel by a cancelled arm would then resurrect whatever
-/// event occupies the slot next (the ABA the generation counter exists
-/// to prevent). `Event` snapshots `(slot, gen)` at registration instead.
-enum TimerPayload {
-    Task(Waker),
-    Event(usize),
-    /// Fire-and-forget timed dispatch: no slab slot, no generation, no
-    /// ready-queue round trip — for schedulers that never cancel (the
-    /// flyweight tier's stage hops). Fired directly off the wheel.
-    Direct { handler: u32, data: u64 },
-}
+/// - a task id (no tag): push it onto the ready queue, as the task's
+///   cached waker would;
+/// - an event code ([`EVENT_TAG`], `(slot, gen)` snapshot): push it;
+/// - a direct word ([`DIRECT_TAG`], `(handler, data)`): push it, or off
+///   the wheel dispatch it inline;
+/// - a foreign index ([`FOREIGN_TAG`]): take that [`Waker`] out of the
+///   side table and wake it.
+///
+/// [`Sim::wake_word_of`] classifies a waker by its vtable. Event-slot
+/// wakers take the foreign path on purpose: they read the slot's
+/// generation at wake time, and a word would snapshot it at park time.
+/// Timers armed by [`Sim::schedule_event`] are the opposite case and
+/// must snapshot: a stale timer left by a cancelled arm would otherwise
+/// resurrect whatever event occupies the slot next (the ABA the
+/// generation counter exists to prevent).
+pub(crate) type WakeWord = u64;
 
 /// One generation-counted record in the event slab: which handler to
 /// call with which payload, valid only while `gen` matches the handle
@@ -320,6 +340,23 @@ pub struct ScheduledEvent {
     gen: u32,
 }
 
+/// Handle to one cell of a world's wait-cell slab: the woken/waker
+/// handshake of one queued waiter in a single 8-byte word (a parked wake
+/// word, or empty, or woken). Queues that order their waiters themselves
+/// (the server's service scheduler, the fabric's lanes) keep this 4-byte
+/// handle in a by-value entry instead of a reference-counted ticket:
+/// the waiter parks with [`Sim::poll_wait_cell`], the queue's owner
+/// wakes the pick with [`Sim::wake_wait_cell`], and the waiter frees the
+/// cell with [`Sim::free_wait_cell`] once admitted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitCell(u32);
+
+impl WaitCell {
+    /// A handle that names no cell, for entries that are never woken
+    /// (queue probes and tests that only exercise ordering).
+    pub const NONE: WaitCell = WaitCell(NO_CELL);
+}
+
 /// A slot in the task table. The free list is intrusive — vacant slots
 /// link to the next free slot through the table itself, with the head in
 /// [`SimCore::free_head`] — so claiming and releasing a slot is one table
@@ -339,7 +376,7 @@ const NO_SLOT: usize = usize::MAX;
 struct SimCore {
     now: Cell<SimTime>,
     timer_seq: Cell<u64>,
-    timers: RefCell<TimerWheel<TimerPayload>>,
+    timers: RefCell<TimerWheel<WakeWord>>,
     tasks: RefCell<Vec<TaskSlot>>,
     /// One cached waker per task-table slot. A waker carries only the
     /// slot index and the ready queue, so it never goes stale: it is
@@ -370,6 +407,18 @@ struct SimCore {
     /// Registered dispatch targets; an event stores only an index here
     /// plus a `u64` payload, so dispatch is one dynamic call.
     event_handlers: RefCell<Vec<Option<EventHandlerFn>>>,
+    /// Wakers that fit no wake word (event-slot and other executors'
+    /// wakers), parked by a timer or a wait cell under a foreign word
+    /// that names their index here; vacant entries are recycled through
+    /// `foreign_free`.
+    foreign: RefCell<Vec<Option<Waker>>>,
+    foreign_free: RefCell<Vec<u32>>,
+    /// The wait-cell slab (see [`WaitCell`]): one word per cell, either
+    /// a parked wake word or one of the `CELL_*` states. Free cells link
+    /// through their own word from `cell_free`.
+    cells: RefCell<Vec<u64>>,
+    cell_free: Cell<u32>,
+    cells_live: Cell<usize>,
     /// This world's direct-waker route, claimed on first use. Fields drop
     /// in declaration order, so the route is freed after everything that
     /// could still wake (tasks, timers, handlers) and before `ready`.
@@ -449,6 +498,11 @@ impl Sim {
                 event_free: RefCell::new(Vec::new()),
                 event_waker_data: RefCell::new(Vec::new()),
                 event_handlers: RefCell::new(Vec::new()),
+                foreign: RefCell::new(Vec::new()),
+                foreign_free: RefCell::new(Vec::new()),
+                cells: RefCell::new(Vec::new()),
+                cell_free: Cell::new(NO_CELL),
+                cells_live: Cell::new(0),
                 direct_route: std::cell::OnceCell::new(),
                 ready: Arc::new(ReadyQueue::default()),
                 polling: Cell::new(0),
@@ -468,25 +522,87 @@ impl Sim {
     ///
     /// Used by [`Sleep`]; most code should call [`Sim::sleep`] instead.
     pub fn register_timer(&self, deadline: SimTime, waker: Waker) {
-        let seq = self.core.timer_seq.get();
-        self.core.timer_seq.set(seq + 1);
-        self.core
-            .timers
-            .borrow_mut()
-            .push(deadline.as_nanos(), seq, TimerPayload::Task(waker));
+        let word = self.wake_word_of(waker);
+        self.push_timer(deadline, word);
     }
 
-    /// Registers a timer that pushes an encoded slab-event ready entry
-    /// when it fires; shares the `(deadline, seq)` order with task
-    /// timers. See [`TimerPayload`] for why the generation must be
-    /// captured here rather than read at fire time.
-    fn register_event_timer(&self, deadline: SimTime, code: usize) {
+    /// Files `word` in the wheel at `deadline`, after every timer already
+    /// registered for the same instant.
+    fn push_timer(&self, deadline: SimTime, word: WakeWord) {
         let seq = self.core.timer_seq.get();
         self.core.timer_seq.set(seq + 1);
         self.core
             .timers
             .borrow_mut()
-            .push(deadline.as_nanos(), seq, TimerPayload::Event(code));
+            .push(deadline.as_nanos(), seq, word);
+    }
+
+    /// Encodes `waker` as a wake word: this world's task and direct
+    /// wakers become their own words, anything else is parked in the
+    /// foreign side table. See [`WakeWord`].
+    fn wake_word_of(&self, waker: Waker) -> WakeWord {
+        let vtable = waker.vtable();
+        if std::ptr::eq(vtable, &WAKER_VTABLE) {
+            // SAFETY: a `WAKER_VTABLE` waker's data is a live `WakerData`
+            // (see its contract).
+            let d = unsafe { &*(waker.data() as *const WakerData) };
+            if std::ptr::eq(d.ready, Arc::as_ptr(&self.core.ready)) {
+                debug_assert!(d.id < FOREIGN_TAG, "task id collides with the foreign tag");
+                return d.id as WakeWord;
+            }
+        } else if std::ptr::eq(vtable, &DIRECT_WAKER_VTABLE) {
+            let word = waker.data().addr();
+            let route = (word >> DIRECT_ROUTE_SHIFT) & (DIRECT_ROUTE_MAX - 1);
+            if self.core.direct_route.get().is_some_and(|r| r.0 == route) {
+                return word as WakeWord;
+            }
+        }
+        let mut foreign = self.core.foreign.borrow_mut();
+        let idx = match self.core.foreign_free.borrow_mut().pop() {
+            Some(idx) => {
+                foreign[idx as usize] = Some(waker);
+                idx
+            }
+            None => {
+                foreign.push(Some(waker));
+                u32::try_from(foreign.len() - 1).expect("foreign waker table overflow")
+            }
+        };
+        (FOREIGN_TAG | idx as usize) as WakeWord
+    }
+
+    /// Whether `word` names a foreign waker (rather than being pushed
+    /// onto the ready queue as it stands). Exact: the `CELL_*` states
+    /// carry bits above the 32-bit index and do not match.
+    #[inline]
+    fn is_foreign(word: WakeWord) -> bool {
+        word >> 32 == (FOREIGN_TAG >> 32) as u64
+    }
+
+    /// Takes a foreign word's waker out of the side table (`None` once a
+    /// teardown has cleared it).
+    fn take_foreign(&self, word: WakeWord) -> Option<Waker> {
+        let idx = word as u32;
+        let waker = self
+            .core
+            .foreign
+            .borrow_mut()
+            .get_mut(idx as usize)?
+            .take()?;
+        self.core.foreign_free.borrow_mut().push(idx);
+        Some(waker)
+    }
+
+    /// Delivers one wake exactly as the encoded waker's `wake` would: a
+    /// ready-queue push, or the foreign waker's own wake.
+    fn wake_word(&self, word: WakeWord) {
+        if Sim::is_foreign(word) {
+            if let Some(waker) = self.take_foreign(word) {
+                waker.wake();
+            }
+        } else {
+            self.core.ready.push(word as usize);
+        }
     }
 
     /// Returns a future that completes after `dur` of simulated time.
@@ -630,9 +746,18 @@ impl Sim {
             .map(Option::take)
             .collect();
         let timers = std::mem::take(&mut *self.core.timers.borrow_mut());
+        let foreign = std::mem::take(&mut *self.core.foreign.borrow_mut());
+        self.core.foreign_free.borrow_mut().clear();
+        // A parked foreign word would otherwise name a recycled entry.
+        for cell in self.core.cells.borrow_mut().iter_mut() {
+            if Sim::is_foreign(*cell) {
+                *cell = CELL_EMPTY;
+            }
+        }
         drop(tasks);
         drop(handlers);
         drop(timers);
+        drop(foreign);
         // Wakes queued so far (including any the drops above fired) name
         // slots a later run would reuse for new tasks.
         while self.core.ready.pop().is_some() {}
@@ -711,21 +836,16 @@ impl Sim {
             self.core.now.set(deadline);
         }
         self.core.events.set(self.core.events.get() + 1);
-        match entry.payload {
-            TimerPayload::Task(waker) => waker.wake(),
-            TimerPayload::Event(code) => self.core.ready.push(code),
+        let word = entry.payload as usize;
+        if word & EVENT_TAG == 0 && word & DIRECT_TAG != 0 {
             // The ready queue is always drained empty before a timer
             // fires, so dispatching inline observes the exact order (and
             // event count) the push-pop round trip through the ready
             // queue would: one event for the fire above, one for the
-            // dispatch here.
-            TimerPayload::Direct { handler, data } => {
-                self.core.events.set(self.core.events.get() + 1);
-                let h = self.core.event_handlers.borrow()[handler as usize].clone();
-                if let Some(h) = h {
-                    h(data);
-                }
-            }
+            // dispatch.
+            self.dispatch_direct(word);
+        } else {
+            self.wake_word(entry.payload);
         }
         true
     }
@@ -822,24 +942,24 @@ impl Sim {
     /// no way to cancel it: the timer carries the handler id and payload
     /// itself, touching neither the event slab nor the ready queue.
     /// Cheaper than [`Sim::schedule_event`] on hot paths that never
-    /// cancel; identical event arithmetic (fire + dispatch).
+    /// cancel; identical event arithmetic (fire + dispatch). The timer is
+    /// one wake word in the direct encoding [`Sim::direct_waker`] uses,
+    /// so `data` must fit 32 bits and the handler id 16.
     ///
     /// # Panics
     ///
     /// Panics if `deadline` is not in the future — there is no inline
-    /// path; callers handle elapsed deadlines themselves.
+    /// path; callers handle elapsed deadlines themselves — or if `data`
+    /// or the handler id is out of range.
     pub fn schedule_direct(&self, deadline: SimTime, handler: EventHandlerId, data: u64) {
         assert!(deadline > self.now(), "schedule_direct needs a future deadline");
-        let seq = self.core.timer_seq.get();
-        self.core.timer_seq.set(seq + 1);
-        self.core.timers.borrow_mut().push(
-            deadline.as_nanos(),
-            seq,
-            TimerPayload::Direct {
-                handler: handler.0,
-                data,
-            },
+        assert!(
+            handler.0 < DIRECT_HANDLER_MAX,
+            "direct timers carry 16-bit handler ids"
         );
+        let data = u32::try_from(data).expect("direct timers carry 32-bit payloads");
+        // The route is left zero: an inline dispatch never reads it.
+        self.push_timer(deadline, encode_direct(0, handler.0, data) as WakeWord);
     }
 
     /// Arms a slab event that dispatches `handler(data)` at `deadline`
@@ -853,7 +973,7 @@ impl Sim {
     ) -> ScheduledEvent {
         let ev = self.arm_event(handler, data);
         if deadline > self.now() {
-            self.register_event_timer(deadline, encode_event(ev.slot, ev.gen));
+            self.push_timer(deadline, encode_event(ev.slot, ev.gen) as WakeWord);
         } else {
             self.core.ready.push(encode_event(ev.slot, ev.gen));
         }
@@ -919,6 +1039,80 @@ impl Sim {
         // SAFETY: the vtable never dereferences the data pointer; see
         // `wake_direct` for why the route it names is live.
         unsafe { Waker::from_raw(raw) }
+    }
+
+    /// Claims a cell of this world's wait-cell slab: nothing parked, no
+    /// wake delivered. Freed cells are reused first (LIFO), so steady
+    /// state allocates nothing.
+    pub fn wait_cell(&self) -> WaitCell {
+        let mut cells = self.core.cells.borrow_mut();
+        let head = self.core.cell_free.get();
+        self.core.cells_live.set(self.core.cells_live.get() + 1);
+        if head != NO_CELL {
+            self.core.cell_free.set(cells[head as usize] as u32);
+            cells[head as usize] = CELL_EMPTY;
+            return WaitCell(head);
+        }
+        let idx = u32::try_from(cells.len())
+            .ok()
+            .filter(|&i| i != NO_CELL)
+            .expect("wait-cell slab overflow");
+        cells.push(CELL_EMPTY);
+        WaitCell(idx)
+    }
+
+    /// The waiter's half of a cell's handshake: returns `true` if a wake
+    /// was delivered since the last call (re-arming the cell for another
+    /// round), or parks a waker from `waker_factory` and returns `false`.
+    /// A re-park replaces the previous waker.
+    pub fn poll_wait_cell(&self, cell: WaitCell, waker_factory: &mut dyn FnMut() -> Waker) -> bool {
+        let idx = cell.0 as usize;
+        let state = self.core.cells.borrow()[idx];
+        debug_assert!(state >> 40 != CELL_FREE >> 40, "poll of a free wait cell");
+        if state == CELL_WOKEN {
+            self.core.cells.borrow_mut()[idx] = CELL_EMPTY;
+            return true;
+        }
+        if Sim::is_foreign(state) {
+            drop(self.take_foreign(state));
+        }
+        let word = self.wake_word_of(waker_factory());
+        self.core.cells.borrow_mut()[idx] = word;
+        false
+    }
+
+    /// The waker's half: marks the cell woken and delivers its parked
+    /// wake, if one is parked. Waking a cell that is already woken does
+    /// nothing.
+    pub fn wake_wait_cell(&self, cell: WaitCell) {
+        let word = std::mem::replace(
+            &mut self.core.cells.borrow_mut()[cell.0 as usize],
+            CELL_WOKEN,
+        );
+        debug_assert!(word >> 40 != CELL_FREE >> 40, "wake of a free wait cell");
+        if word != CELL_EMPTY && word != CELL_WOKEN {
+            self.wake_word(word);
+        }
+    }
+
+    /// Returns a cell to the slab once its waiter is done with it.
+    pub fn free_wait_cell(&self, cell: WaitCell) {
+        let idx = cell.0 as usize;
+        let state = std::mem::replace(
+            &mut self.core.cells.borrow_mut()[idx],
+            CELL_FREE | u64::from(self.core.cell_free.get()),
+        );
+        debug_assert!(state >> 40 != CELL_FREE >> 40, "double free of a wait cell");
+        if Sim::is_foreign(state) {
+            drop(self.take_foreign(state));
+        }
+        self.core.cell_free.set(cell.0);
+        self.core.cells_live.set(self.core.cells_live.get() - 1);
+    }
+
+    /// Number of claimed wait cells. Mostly for tests and audits.
+    pub fn live_wait_cells(&self) -> usize {
+        self.core.cells_live.get()
     }
 
     /// Cancels an armed event. Returns `true` if the event was still
@@ -1055,6 +1249,7 @@ impl Future for YieldNow {
 mod tests {
     use super::*;
     use std::cell::RefCell;
+    use std::future::poll_fn;
     use std::rc::Rc;
 
     /// Sets its flag when dropped.
@@ -1506,6 +1701,106 @@ mod tests {
         let (hc, _) = logging_handler(&c);
         let _wc = c.direct_waker(hc, 1);
         assert_eq!(DIRECT_ROUTES.with(|r| r.borrow().len()), routes);
+    }
+
+    /// The wait-cell handshake: a wake before the park is kept, a wake
+    /// after it delivers the parked waker once, a second wake is a
+    /// no-op, and freed cells are reused LIFO.
+    #[test]
+    fn wait_cells_hand_off_one_wake_per_round() {
+        let sim = Sim::new();
+        let (h, log) = logging_handler(&sim);
+        let s = sim.clone();
+        sim.run_until(async move {
+            let a = s.wait_cell();
+            let b = s.wait_cell();
+            assert_eq!(s.live_wait_cells(), 2);
+            // Woken before anyone parks: the next poll sees it.
+            s.wake_wait_cell(a);
+            assert!(s.poll_wait_cell(a, &mut || unreachable!("no park when woken")));
+            // Parked (twice: the re-park replaces the first word), then
+            // woken twice: one dispatch.
+            assert!(!s.poll_wait_cell(b, &mut || s.direct_waker(h, 1)));
+            assert!(!s.poll_wait_cell(b, &mut || s.direct_waker(h, 2)));
+            s.wake_wait_cell(b);
+            s.wake_wait_cell(b);
+            yield_now().await;
+            assert_eq!(*log.borrow(), vec![(0, 2)]);
+            assert!(s.poll_wait_cell(b, &mut || unreachable!()));
+            s.free_wait_cell(a);
+            s.free_wait_cell(b);
+            assert_eq!(s.live_wait_cells(), 0);
+            assert_eq!(s.wait_cell(), b, "freed cells are reused LIFO");
+            assert_eq!(s.wait_cell(), a);
+        });
+    }
+
+    /// Task wakers become task-id words and event-slot wakers park in the
+    /// foreign table; both deliver exactly the wake the waker would, and
+    /// the foreign table recycles its entries.
+    #[test]
+    fn wait_cells_wake_tasks_and_foreign_wakers() {
+        let sim = Sim::new();
+        let (h, log) = logging_handler(&sim);
+        let s = sim.clone();
+        let cell = sim.wait_cell();
+        let waiter = sim.spawn({
+            let s = sim.clone();
+            poll_fn(move |cx| {
+                if s.poll_wait_cell(cell, &mut || cx.waker().clone()) {
+                    Poll::Ready(s.now())
+                } else {
+                    Poll::Pending
+                }
+            })
+        });
+        sim.run_until(async move {
+            s.sleep(SimDuration::from_nanos(40)).await;
+            s.wake_wait_cell(cell);
+            assert_eq!(waiter.await, SimTime(40));
+            let (_ev, waker) = s.event_waker(h, 5);
+            assert!(!s.poll_wait_cell(cell, &mut || waker.clone()));
+            assert_eq!(s.core.foreign.borrow().len(), 1);
+            s.wake_wait_cell(cell);
+            yield_now().await;
+            assert_eq!(*log.borrow(), vec![(40, 5)]);
+            assert_eq!(*s.core.foreign_free.borrow(), vec![0], "entry recycled");
+            assert!(s.poll_wait_cell(cell, &mut || unreachable!()));
+            s.free_wait_cell(cell);
+        });
+    }
+
+    /// An event-slot waker on a timer keeps reading its slot's
+    /// generation at fire time: a park cancelled before its timer fires
+    /// never dispatches, even once the slot is re-armed.
+    #[test]
+    fn foreign_timer_reads_the_event_generation_at_fire_time() {
+        let sim = Sim::new();
+        let (h, log) = logging_handler(&sim);
+        let s = sim.clone();
+        sim.run_until(async move {
+            let (ev, waker) = s.event_waker(h, 1);
+            s.register_timer(SimTime(100), waker);
+            assert!(s.cancel_event(ev));
+            let rearmed = s.schedule_event(SimTime(300), h, 2);
+            assert_eq!(rearmed.slot, ev.slot);
+            s.sleep(SimDuration::from_nanos(400)).await;
+        });
+        // The stale timer fired at 100 with the slot's then-current
+        // generation (the re-arm's), so it dispatched the new event
+        // early — exactly what waking the waker by hand would do — and
+        // the re-arm's own timer found it already spent.
+        assert_eq!(*log.borrow(), vec![(100, 2)]);
+        assert!(sim.core.foreign.borrow().iter().all(Option::is_none));
+    }
+
+    /// A wait cell is one word in the slab and its handle is 4 bytes.
+    #[test]
+    fn wait_cells_are_word_sized() {
+        let sim = Sim::new();
+        let _ = sim.wait_cell();
+        assert!(std::mem::size_of_val(&sim.core.cells.borrow()[0]) <= 8);
+        assert_eq!(std::mem::size_of::<WaitCell>(), 4);
     }
 
     #[test]

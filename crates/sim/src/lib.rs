@@ -37,7 +37,7 @@ pub mod time;
 pub mod wheel;
 
 pub use executor::{
-    yield_now, EventHandlerId, JoinHandle, ScheduledEvent, Sim, Sleep, TaskId, YieldNow,
+    yield_now, EventHandlerId, JoinHandle, ScheduledEvent, Sim, Sleep, TaskId, WaitCell, YieldNow,
 };
 pub use metrics::{
     mbps, mean, percentile, ByteMeter, Counter, Histogram, LatencyDigest, ProfileRow, Profiler,

@@ -36,12 +36,13 @@ pub struct WheelEntry<T> {
     pub deadline: u64,
     /// Registration sequence number, unique per wheel.
     pub seq: u64,
-    /// The registered payload (the executor stores a `Waker`).
+    /// The registered payload (the executor stores a one-word wake).
     pub payload: T,
 }
 
-/// The wheel itself, generic over the payload so tests can model it
-/// with plain integers.
+/// The wheel itself, generic over a `Copy` payload so tests can model
+/// it with plain integers. The executor's payload is one 64-bit wake
+/// word, which keeps each slab record at 32 bytes.
 ///
 /// Entries live in one slab (`entries` plus a `free` index list); each
 /// `slots[level][slot]` is just the head of an intrusive singly-linked
@@ -54,7 +55,7 @@ pub struct WheelEntry<T> {
 /// horizon touches next. (The previous per-slot `Vec` storage recycled
 /// only one scratch buffer, so every first touch of a slot — and every
 /// capacity redistribution after a drain — still allocated.)
-pub struct TimerWheel<T> {
+pub struct TimerWheel<T: Copy> {
     /// Slab of entry records; `free` lists the vacant indices.
     entries: Vec<SlabEntry<T>>,
     free: Vec<u32>,
@@ -80,23 +81,22 @@ pub struct TimerWheel<T> {
 /// Chain terminator / vacant-slot marker.
 const NIL: u32 = u32::MAX;
 
-/// One slab record: a [`WheelEntry`] plus its chain link. The payload
-/// is an `Option` only so removal can move it out without unsafe code;
-/// stored entries always hold `Some`.
+/// One slab record: a [`WheelEntry`] plus its chain link. The payload is
+/// `Copy`, so a vacant record simply keeps its stale copy.
 struct SlabEntry<T> {
     deadline: u64,
     seq: u64,
+    payload: T,
     next: u32,
-    payload: Option<T>,
 }
 
-impl<T> Default for TimerWheel<T> {
+impl<T: Copy> Default for TimerWheel<T> {
     fn default() -> Self {
         TimerWheel::new()
     }
 }
 
-impl<T> TimerWheel<T> {
+impl<T: Copy> TimerWheel<T> {
     /// Creates an empty wheel positioned at time zero.
     pub fn new() -> TimerWheel<T> {
         TimerWheel {
@@ -163,7 +163,7 @@ impl<T> TimerWheel<T> {
             deadline,
             seq,
             next: NIL,
-            payload: Some(payload),
+            payload,
         };
         let idx = match self.free.pop() {
             Some(idx) => {
@@ -249,11 +249,11 @@ impl<T> TimerWheel<T> {
                 // nanosecond granularity: return it without the pending
                 // buffer round trip (push, sort check, pop).
                 if self.entries[head as usize].next == NIL {
-                    let slot = &mut self.entries[head as usize];
+                    let slot = &self.entries[head as usize];
                     let entry = WheelEntry {
                         deadline: slot.deadline,
                         seq: slot.seq,
-                        payload: slot.payload.take().expect("stored entry has a payload"),
+                        payload: slot.payload,
                     };
                     self.free.push(head);
                     self.len -= 1;
@@ -288,11 +288,11 @@ impl<T> TimerWheel<T> {
 
     fn take_pending(&mut self) -> Option<WheelEntry<T>> {
         let idx = self.pending.pop()?;
-        let slot = &mut self.entries[idx as usize];
+        let slot = &self.entries[idx as usize];
         let entry = WheelEntry {
             deadline: slot.deadline,
             seq: slot.seq,
-            payload: slot.payload.take().expect("pending entry has a payload"),
+            payload: slot.payload,
         };
         self.free.push(idx);
         self.len -= 1;
@@ -303,6 +303,7 @@ impl<T> TimerWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::WakeWord;
 
     fn drain(wheel: &mut TimerWheel<u32>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
@@ -393,6 +394,111 @@ mod tests {
         assert_eq!(w.len(), 0);
     }
 
+    /// One wake word of the given kind (task id, event code, direct
+    /// word, foreign index), drawn from `raw`.
+    fn wake_word(kind: u8, raw: u64) -> WakeWord {
+        use crate::executor::{encode_direct, encode_event, EVENT_GEN_MASK, FOREIGN_TAG};
+        (match kind % 4 {
+            0 => raw as u32 as usize,
+            1 => encode_event(raw as u32, (raw >> 32) as u32 & EVENT_GEN_MASK),
+            2 => encode_direct(
+                (raw >> 48) as usize & 0x3fff,
+                (raw >> 32) as u32 & 0xffff,
+                raw as u32,
+            ),
+            _ => FOREIGN_TAG | raw as u32 as usize,
+        }) as WakeWord
+    }
+
+    type RefHeap = std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, WakeWord)>>;
+
+    /// Pops the wheel and the reference heap once each and compares;
+    /// returns whether anything was popped, advancing `now`.
+    fn pop_both(
+        wheel: &mut TimerWheel<WakeWord>,
+        heap: &mut RefHeap,
+        now: &mut u64,
+    ) -> Result<bool, String> {
+        let want = heap.pop().map(|std::cmp::Reverse(e)| e);
+        let got = wheel.pop().map(|e| (e.deadline, e.seq, e.payload));
+        if got != want {
+            return Err(format!("popped {got:?}, heap gives {want:?}"));
+        }
+        if let Some((deadline, _, _)) = got {
+            *now = deadline;
+        }
+        Ok(got.is_some())
+    }
+
+    /// Property: random mixes of the executor's four wake-word kinds,
+    /// pushed at deadlines from one nanosecond to the end of the clock
+    /// and interleaved with pops, each fire exactly once with their own
+    /// word, in the order a `BinaryHeap<Reverse<(deadline, seq)>>` gives.
+    /// Each op is (word kind, span class, raw bits, pops after it).
+    #[test]
+    fn prop_wheel_matches_heap_on_wake_words() {
+        use crate::proptest::{check, CaseOutcome};
+        use crate::{prop_assert, prop_assert_eq};
+        use std::cmp::Reverse;
+
+        check(
+            "prop_wheel_matches_heap_on_wake_words",
+            |g| {
+                g.vec(1, 96, |g| {
+                    (g.u8_in(0, 3), g.u8_in(0, 4), g.any_u64(), g.u8_in(0, 3))
+                })
+            },
+            |ops| {
+                let mut wheel: TimerWheel<WakeWord> = TimerWheel::new();
+                let mut heap = RefHeap::new();
+                // Time never runs backwards: pushes land after the last
+                // popped deadline, as the executor's do.
+                let mut now = 0u64;
+                for (seq, &(kind, span, raw, pops)) in ops.iter().enumerate() {
+                    let room = u64::MAX - now;
+                    if room > 0 {
+                        let delta = 1 + match span {
+                            0 => raw % 4,
+                            1 => raw % 4_096,
+                            2 => raw % (1 << 24),
+                            3 => raw % (1 << 44),
+                            _ => raw,
+                        } % room;
+                        let word = wake_word(kind, raw);
+                        wheel.push(now + delta, seq as u64, word);
+                        heap.push(Reverse((now + delta, seq as u64, word)));
+                    }
+                    for _ in 0..pops {
+                        if let Err(msg) = pop_both(&mut wheel, &mut heap, &mut now) {
+                            return CaseOutcome::Fail(msg);
+                        }
+                    }
+                    prop_assert_eq!(wheel.len(), heap.len());
+                }
+                loop {
+                    match pop_both(&mut wheel, &mut heap, &mut now) {
+                        Ok(true) => {}
+                        Ok(false) => break,
+                        Err(msg) => return CaseOutcome::Fail(msg),
+                    }
+                }
+                prop_assert!(wheel.is_empty());
+                CaseOutcome::Pass
+            },
+        );
+    }
+
+    /// A million pending timers are a million slab records: the wake
+    /// word keeps each at 32 bytes (a `Waker` payload made it 48).
+    #[test]
+    fn wheel_slab_record_is_word_sized() {
+        assert!(
+            std::mem::size_of::<SlabEntry<WakeWord>>() <= 32,
+            "wheel slab record grew to {} bytes",
+            std::mem::size_of::<SlabEntry<WakeWord>>()
+        );
+    }
+
     #[test]
     fn huge_deadline_span() {
         let mut w = TimerWheel::new();
@@ -400,20 +506,5 @@ mod tests {
         w.push(1, 1, 0u32);
         assert_eq!(w.pop().unwrap().deadline, 1);
         assert_eq!(w.pop().unwrap().deadline, u64::MAX - 1);
-    }
-
-    #[test]
-    fn payloads_drop_cleanly_when_wheel_dropped_mid_drain() {
-        use std::rc::Rc;
-        let tracker = Rc::new(());
-        {
-            let mut w = TimerWheel::new();
-            for seq in 0..4u64 {
-                w.push(9, seq, Rc::clone(&tracker));
-            }
-            let _ = w.pop(); // moves one entry out of the pending buffer
-        }
-        // 1 popped + 3 dropped with the wheel; no leaks or double-frees.
-        assert_eq!(Rc::strong_count(&tracker), 1);
     }
 }
