@@ -7,6 +7,8 @@
 
 use nfsperf_xdr::{Decoder, Encoder, XdrDecode, XdrEncode, XdrError};
 
+use crate::record::{LAST_FRAGMENT, MAX_FRAGMENT};
+
 /// RPC protocol version.
 pub const RPC_VERSION: u32 = 2;
 /// Message type: call.
@@ -125,18 +127,55 @@ pub fn encode_call(
     args: &dyn XdrEncode,
 ) -> Vec<u8> {
     let mut enc = Encoder::with_capacity(args.encoded_len() + 96);
+    put_call(&mut enc, xid, prog, vers, proc, cred, args);
+    enc.into_bytes()
+}
+
+/// Encodes a CALL message as one single-fragment RFC 1831 record: the
+/// bytes [`encode_record`](crate::record::encode_record) makes of
+/// [`encode_call`]'s, written once into one buffer instead of encoded and
+/// then copied behind a record mark.
+pub fn encode_call_record(
+    xid: u32,
+    prog: u32,
+    vers: u32,
+    proc: u32,
+    cred: &AuthUnix,
+    args: &dyn XdrEncode,
+) -> Vec<u8> {
+    let mut enc = Encoder::with_capacity(4 + args.encoded_len() + 96);
+    enc.put_u32(0); // record mark, patched once the length is known
+    put_call(&mut enc, xid, prog, vers, proc, cred, args);
+    let mut out = enc.into_bytes();
+    let len = out.len() - 4;
+    assert!(
+        len <= MAX_FRAGMENT,
+        "call of {len} bytes overflows one fragment"
+    );
+    out[..4].copy_from_slice(&(len as u32 | LAST_FRAGMENT).to_be_bytes());
+    out
+}
+
+fn put_call(
+    enc: &mut Encoder,
+    xid: u32,
+    prog: u32,
+    vers: u32,
+    proc: u32,
+    cred: &AuthUnix,
+    args: &dyn XdrEncode,
+) {
     enc.put_u32(xid);
     enc.put_u32(MSG_CALL);
     enc.put_u32(RPC_VERSION);
     enc.put_u32(prog);
     enc.put_u32(vers);
     enc.put_u32(proc);
-    cred.encode(&mut enc);
+    cred.encode(enc);
     // Verifier: AUTH_NONE.
     enc.put_u32(AUTH_NONE);
     enc.put_u32(0);
-    args.encode(&mut enc);
-    enc.into_bytes()
+    args.encode(enc);
 }
 
 /// Parses a CALL message; returns the header and a decoder positioned at
@@ -276,6 +315,15 @@ mod tests {
         let back = Write3Args::decode(&mut argdec).unwrap();
         assert_eq!(back, args);
         assert!(argdec.is_empty());
+    }
+
+    #[test]
+    fn framed_call_is_the_record_of_the_call() {
+        let cred = AuthUnix::root_on("client");
+        let args = Write3Args::new(FileHandle::for_fileid(3), 0, 8192, StableHow::Unstable);
+        let call = encode_call(5, NFS_PROGRAM, NFS_V3, 7, &cred, &args);
+        let framed = encode_call_record(5, NFS_PROGRAM, NFS_V3, 7, &cred, &args);
+        assert_eq!(framed, crate::record::encode_record(&call));
     }
 
     #[test]

@@ -149,4 +149,47 @@ mod tests {
         assert_eq!(rd.next_record().unwrap(), b);
         assert_eq!(rd.next_record(), None);
     }
+
+    /// Random stream bytes, pushed in random chunks, never panic the
+    /// reader; a record cut short anywhere yields nothing and stays
+    /// buffered.
+    #[test]
+    fn prop_garbage_and_truncated_streams_never_panic() {
+        use nfsperf_sim::proptest::{check, CaseOutcome};
+        use nfsperf_sim::{prop_assert, prop_assert_eq};
+        check(
+            "prop_garbage_and_truncated_streams_never_panic",
+            |g| {
+                (
+                    g.bytes(0, 256),
+                    g.vec(1, 8, |g| g.usize_in(1, 64)),
+                    g.usize_in(0, 300),
+                )
+            },
+            |(garbage, chunks, cut): &(Vec<u8>, Vec<usize>, usize)| {
+                let mut rd = RecordReader::new();
+                let mut rest = &garbage[..];
+                for &n in chunks.iter().cycle() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (head, tail) = rest.split_at(n.min(rest.len()));
+                    rd.push(head);
+                    while rd.next_record().is_some() {}
+                    rest = tail;
+                }
+                prop_assert!(rd.buffered() <= garbage.len());
+
+                let wire = encode_record_frags(&garbage[..], 16);
+                let cut = cut % wire.len();
+                let mut rd = RecordReader::new();
+                rd.push(&wire[..cut]);
+                prop_assert_eq!(rd.next_record(), None);
+                prop_assert!(rd.buffered() <= cut);
+                rd.push(&wire[cut..]);
+                prop_assert!(rd.next_record().as_deref() == Some(&garbage[..]));
+                CaseOutcome::Pass
+            },
+        );
+    }
 }

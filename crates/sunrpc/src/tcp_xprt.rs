@@ -21,13 +21,13 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use nfsperf_kernel::Kernel;
-use nfsperf_net::{DatagramPayload, Path};
+use nfsperf_net::{pool_put, DatagramPayload, Path};
 use nfsperf_sim::{Counter, Receiver, Semaphore, WaitQueue};
 use nfsperf_tcp::{TcpConfig, TcpConn, TcpEndpoint, TcpStats};
 use nfsperf_xdr::XdrEncode;
 
 use crate::msg::{self, AuthUnix, ACCEPT_SUCCESS};
-use crate::record::{self, RecordReader};
+use crate::record::RecordReader;
 use crate::xprt::{RpcError, XprtConfig, XprtStats};
 
 struct Pending {
@@ -60,9 +60,9 @@ pub struct TcpRpcXprt {
     vers: u32,
     next_xid: Cell<u32>,
     pending: RefCell<HashMap<u32, Rc<Pending>>>,
-    /// Encoded call bytes for every pending xid, kept for replay after a
-    /// reconnect.
-    sent: RefCell<HashMap<u32, Vec<u8>>>,
+    /// Record-marked call bytes for every pending xid, shared with the
+    /// send and kept for replay after a reconnect.
+    sent: RefCell<HashMap<u32, Rc<Vec<u8>>>>,
     conn: RefCell<ConnState>,
     conn_changed: WaitQueue,
     slots: Rc<Semaphore>,
@@ -136,18 +136,21 @@ impl TcpRpcXprt {
         });
         self.pending.borrow_mut().insert(xid, Rc::clone(&pending));
 
-        // Encode under the BKL, exactly like the UDP transport.
-        let encoded = {
+        // Encode under the BKL, exactly like the UDP transport, framed as
+        // a record in the same pass.
+        let framed = {
             let _guard = self.kernel.bkl.lock("rpc_xmit").await;
             self.kernel
                 .cpus
                 .work("rpc_encode", self.kernel.costs.rpc_encode)
                 .await;
-            msg::encode_call(xid, self.prog, self.vers, proc, &self.cred, args)
+            Rc::new(msg::encode_call_record(
+                xid, self.prog, self.vers, proc, &self.cred, args,
+            ))
         };
-        self.sent.borrow_mut().insert(xid, encoded.clone());
+        self.sent.borrow_mut().insert(xid, Rc::clone(&framed));
 
-        let outcome = match self.transmit(&encoded).await {
+        let outcome = match self.transmit(&framed).await {
             Err(e) => Err(e),
             Ok(()) => loop {
                 if let Some(r) = pending.reply.borrow_mut().take() {
@@ -171,30 +174,30 @@ impl TcpRpcXprt {
         Ok(payload[at..].to_vec())
     }
 
-    /// Record-marks and writes one encoded call to the connection,
-    /// establishing it first if necessary, with the configured
-    /// `sock_sendmsg` cost and BKL behaviour.
-    async fn transmit(self: &Rc<Self>, encoded: &[u8]) -> Result<(), RpcError> {
+    /// Writes one record-marked call to the connection, establishing it
+    /// first if necessary.
+    async fn transmit(self: &Rc<Self>, framed: &[u8]) -> Result<(), RpcError> {
         let conn = self.ensure_conn().await?;
-        let framed = record::encode_record(encoded);
-        if self.config.bkl_around_sendmsg {
-            let _g = self.kernel.bkl.lock("rpc_xmit").await;
-            self.kernel
-                .cpus
-                .work("sock_sendmsg", self.kernel.costs.sock_sendmsg)
-                .await;
-            let _ = conn.send(&framed);
-        } else {
-            self.kernel
-                .cpus
-                .work("sock_sendmsg", self.kernel.costs.sock_sendmsg)
-                .await;
-            let _ = conn.send(&framed);
-        }
+        self.sendmsg(&conn, framed).await;
         // A send onto a connection that died in the meantime is not an
         // error: the death is (or will be) observed by the reader, which
         // replays every pending call on the replacement connection.
         Ok(())
+    }
+
+    /// Hands one framed call to the connection with the configured
+    /// `sock_sendmsg` cost and BKL behaviour.
+    async fn sendmsg(&self, conn: &Rc<TcpConn>, framed: &[u8]) {
+        let _g = if self.config.bkl_around_sendmsg {
+            Some(self.kernel.bkl.lock("rpc_xmit").await)
+        } else {
+            None
+        };
+        self.kernel
+            .cpus
+            .work("sock_sendmsg", self.kernel.costs.sock_sendmsg)
+            .await;
+        let _ = conn.send(framed);
     }
 
     /// Returns the live connection, running the handshake if none exists.
@@ -249,6 +252,7 @@ impl TcpRpcXprt {
                 Err(_) => break,
             };
             records.push(&bytes);
+            pool_put(bytes);
             while let Some(reply) = records.next_record() {
                 self.kernel
                     .cpus
@@ -308,29 +312,14 @@ impl TcpRpcXprt {
         xids.sort_unstable();
         for xid in xids {
             // The call may have completed while we were reconnecting.
-            let encoded = match self.sent.borrow().get(&xid) {
-                Some(e) => e.clone(),
-                None => continue,
+            let Some(framed) = self.sent.borrow().get(&xid).map(Rc::clone) else {
+                continue;
             };
             if !self.pending.borrow().contains_key(&xid) {
                 continue;
             }
             self.replays.inc();
-            let framed = record::encode_record(&encoded);
-            if self.config.bkl_around_sendmsg {
-                let _g = self.kernel.bkl.lock("rpc_xmit").await;
-                self.kernel
-                    .cpus
-                    .work("sock_sendmsg", self.kernel.costs.sock_sendmsg)
-                    .await;
-                let _ = conn.send(&framed);
-            } else {
-                self.kernel
-                    .cpus
-                    .work("sock_sendmsg", self.kernel.costs.sock_sendmsg)
-                    .await;
-                let _ = conn.send(&framed);
-            }
+            self.sendmsg(&conn, &framed).await;
         }
     }
 
@@ -390,6 +379,7 @@ impl TcpRpcXprt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record;
     use nfsperf_kernel::KernelConfig;
     use nfsperf_net::{Nic, NicSpec};
     use nfsperf_sim::{Sim, SimDuration, SimTime};

@@ -24,10 +24,11 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use nfsperf_net::Path;
+use nfsperf_net::{pool_copy, pool_get, pool_put, Path};
 use nfsperf_sim::{select2, Counter, Either, Sim, SimDuration, SimTime, WaitQueue};
 
-use crate::segment::{Segment, FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN};
+use crate::ring::SendRing;
+use crate::segment::{Header, FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, HEADER_LEN};
 
 /// Tunables of the TCP model.
 #[derive(Debug, Clone)]
@@ -112,6 +113,22 @@ pub(crate) struct SharedCounters {
     pub rto_timeouts: Counter,
 }
 
+/// What a connection holds in its buffers (for tests).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Backlog {
+    /// `snd_end - snd_una`: bytes sent by the application, not yet ACKed.
+    pub unacked: u64,
+    /// Bytes held by the send ring.
+    pub ring_len: usize,
+    /// The ring's bytes straddle its wrap point.
+    pub ring_wrapped: bool,
+    /// Out-of-order segments parked on the receive side.
+    pub out_of_order: usize,
+    /// In-order bytes received, not yet read by the application.
+    pub rx_buffered: usize,
+}
+
 /// One end of a simulated TCP connection.
 ///
 /// Single-threaded like everything in the simulation: interior mutability
@@ -128,12 +145,12 @@ pub struct TcpConn {
     established: WaitQueue,
     reset_seen: Cell<bool>,
 
-    // Send side. The buffer holds bytes [snd_una, snd_end); its front is
-    // dropped as cumulative ACKs advance snd_una.
+    // Send side. The ring holds bytes [snd_una, snd_end); cumulative ACKs
+    // release its head as they advance snd_una.
     snd_una: Cell<u64>,
     snd_nxt: Cell<u64>,
     snd_end: Cell<u64>,
-    snd_buf: RefCell<Vec<u8>>,
+    snd_buf: RefCell<SendRing>,
     cwnd: Cell<u64>,
     ssthresh: Cell<u64>,
     dup_acks: Cell<u32>,
@@ -179,7 +196,7 @@ impl TcpConn {
             snd_una: Cell::new(1),
             snd_nxt: Cell::new(1),
             snd_end: Cell::new(1),
-            snd_buf: RefCell::new(Vec::new()),
+            snd_buf: RefCell::new(SendRing::default()),
             cwnd: Cell::new(initial_cwnd),
             ssthresh: Cell::new(max_cwnd),
             dup_acks: Cell::new(0),
@@ -223,13 +240,8 @@ impl TcpConn {
         counters: Rc<SharedCounters>,
     ) -> Rc<TcpConn> {
         let conn = TcpConn::new(sim, path, config, id, counters, State::SynReceived);
-        conn.send_raw(FLAG_SYN | FLAG_ACK, 0, 1, Vec::new());
+        conn.send_ctl(FLAG_SYN | FLAG_ACK, 0, 1);
         conn
-    }
-
-    /// The connection id shared by both ends.
-    pub fn id(&self) -> u32 {
-        self.id
     }
 
     /// True until the connection is fully closed.
@@ -245,6 +257,19 @@ impl TcpConn {
     /// Current retransmission timeout (exposed for tests).
     pub fn rto(&self) -> SimDuration {
         self.rto.get()
+    }
+
+    /// A snapshot of the connection's buffers (for tests).
+    #[cfg(test)]
+    pub(crate) fn backlog(&self) -> Backlog {
+        let ring = self.snd_buf.borrow();
+        Backlog {
+            unacked: self.snd_end.get() - self.snd_una.get(),
+            ring_len: ring.len(),
+            ring_wrapped: ring.wrapped(),
+            out_of_order: self.out_of_order.borrow().len(),
+            rx_buffered: self.app_rx.borrow().len(),
+        }
     }
 
     /// Resolves once the three-way handshake completes, or fails if the
@@ -276,7 +301,7 @@ impl TcpConn {
                 TcpError::Closed
             });
         }
-        self.snd_buf.borrow_mut().extend_from_slice(bytes);
+        self.snd_buf.borrow_mut().push(bytes);
         self.snd_end.set(self.snd_end.get() + bytes.len() as u64);
         self.pump();
         Ok(())
@@ -286,12 +311,16 @@ impl TcpConn {
     /// `read()` on a stream socket. Errors once the stream is done:
     /// [`TcpError::Closed`] after FIN/local close, [`TcpError::Reset`]
     /// after RST.
+    ///
+    /// The receive buffer is swapped for one from the payload pool, so a
+    /// caller that hands the returned buffer back with
+    /// [`nfsperf_net::pool_put`] keeps the receive path allocation-free.
     pub async fn recv_some(&self) -> Result<Vec<u8>, TcpError> {
         loop {
             {
                 let mut buf = self.app_rx.borrow_mut();
                 if !buf.is_empty() {
-                    return Ok(std::mem::take(&mut *buf));
+                    return Ok(std::mem::replace(&mut *buf, pool_get()));
                 }
             }
             if self.reset_seen.get() {
@@ -310,7 +339,7 @@ impl TcpConn {
         if self.state.get() == State::Closed {
             return;
         }
-        self.send_raw(FLAG_FIN | FLAG_ACK, self.snd_end.get(), self.rcv_nxt.get(), Vec::new());
+        self.send_ctl(FLAG_FIN | FLAG_ACK, self.snd_end.get(), self.rcv_nxt.get());
         self.mark_closed();
     }
 
@@ -319,7 +348,7 @@ impl TcpConn {
         if self.state.get() == State::Closed {
             return;
         }
-        self.send_raw(FLAG_RST, self.snd_nxt.get(), self.rcv_nxt.get(), Vec::new());
+        self.send_ctl(FLAG_RST, self.snd_nxt.get(), self.rcv_nxt.get());
         self.reset_seen.set(true);
         self.mark_closed();
     }
@@ -331,23 +360,45 @@ impl TcpConn {
         self.timer_kick.wake_all();
     }
 
-    fn send_syn(&self) {
-        self.send_raw(FLAG_SYN, 0, 0, Vec::new());
+    /// Transmits the (initial or a retried) SYN of an active open.
+    pub(crate) fn send_syn(&self) {
+        self.send_ctl(FLAG_SYN, 0, 0);
     }
 
-    fn send_raw(&self, flags: u8, seq: u64, ack: u64, payload: Vec<u8>) {
+    /// Transmits a segment without payload: SYN, FIN, RST or a pure ACK.
+    fn send_ctl(&self, flags: u8, seq: u64, ack: u64) {
         self.counters.segments_sent.inc();
-        if !payload.is_empty() {
-            self.counters.data_segments_sent.inc();
-        }
-        let seg = Segment {
+        let mut wire = pool_get();
+        wire.reserve(HEADER_LEN);
+        self.header(flags, seq, ack).write(&mut wire);
+        self.path.send(wire);
+    }
+
+    /// Transmits the stream bytes `[seq, seq + len)` as one data segment,
+    /// written from the send ring straight into a pooled datagram behind
+    /// its header.
+    fn send_data(&self, seq: u64, len: usize) {
+        self.counters.segments_sent.inc();
+        self.counters.data_segments_sent.inc();
+        let mut wire = pool_get();
+        wire.reserve(HEADER_LEN + len);
+        self.header(FLAG_ACK, seq, self.rcv_nxt.get())
+            .write(&mut wire);
+        let ring = self.snd_buf.borrow();
+        let (a, b) = ring.range((seq - self.snd_una.get()) as usize, len);
+        wire.extend_from_slice(a);
+        wire.extend_from_slice(b);
+        drop(ring);
+        self.path.send(wire);
+    }
+
+    fn header(&self, flags: u8, seq: u64, ack: u64) -> Header {
+        Header {
             conn_id: self.id,
             seq,
             ack,
             flags,
-            payload,
-        };
-        self.path.send(seg.encode());
+        }
     }
 
     /// Transmits as much buffered data as the congestion window allows.
@@ -364,12 +415,10 @@ impl TcpConn {
                 break;
             }
             let len = ((end - nxt) as usize).min(self.config.mss);
-            let off = (nxt - una) as usize;
-            let payload = self.snd_buf.borrow()[off..off + len].to_vec();
             if self.rtt_probe.get().is_none() {
                 self.rtt_probe.set(Some((nxt + len as u64, self.sim.now())));
             }
-            self.send_raw(FLAG_ACK, nxt, self.rcv_nxt.get(), payload);
+            self.send_data(nxt, len);
             self.snd_nxt.set(nxt + len as u64);
             sent = true;
         }
@@ -386,11 +435,10 @@ impl TcpConn {
             return;
         }
         let len = ((nxt - una) as usize).min(self.config.mss);
-        let payload = self.snd_buf.borrow()[..len].to_vec();
         self.counters.retransmits.inc();
         // Karn's rule: a retransmitted range must not produce an RTT sample.
         self.rtt_probe.set(None);
-        self.send_raw(FLAG_ACK, una, self.rcv_nxt.get(), payload);
+        self.send_data(una, len);
     }
 
     fn rtt_update(&self, sample: SimDuration) {
@@ -411,8 +459,9 @@ impl TcpConn {
         self.rto.set(rto);
     }
 
-    /// Main segment handler, called from the endpoint demultiplexer.
-    pub(crate) fn on_segment(self: &Rc<Self>, seg: Segment) {
+    /// Main segment handler, called from the endpoint demultiplexer with
+    /// the segment's payload borrowed from its datagram.
+    pub(crate) fn on_segment(self: &Rc<Self>, seg: Header, payload: &[u8]) {
         if self.state.get() == State::Closed {
             return;
         }
@@ -427,7 +476,7 @@ impl TcpConn {
                     self.become_established();
                     // Complete the handshake; this ACK also opens the
                     // peer's SynReceived half.
-                    self.send_raw(FLAG_ACK, self.snd_nxt.get(), self.rcv_nxt.get(), Vec::new());
+                    self.send_ctl(FLAG_ACK, self.snd_nxt.get(), self.rcv_nxt.get());
                     self.pump();
                 }
             }
@@ -435,7 +484,7 @@ impl TcpConn {
                 if seg.flags & FLAG_SYN != 0 {
                     // Duplicate SYN: the SYN-ACK was lost; resend it.
                     self.counters.retransmits.inc();
-                    self.send_raw(FLAG_SYN | FLAG_ACK, 0, 1, Vec::new());
+                    self.send_ctl(FLAG_SYN | FLAG_ACK, 0, 1);
                     return;
                 }
                 if seg.flags & FLAG_ACK != 0 && seg.ack >= 1 {
@@ -443,10 +492,10 @@ impl TcpConn {
                     // one piggybacked on first data if the pure handshake
                     // ACK was lost.
                     self.become_established();
-                    self.process(seg);
+                    self.process(seg, payload);
                 }
             }
-            State::Established => self.process(seg),
+            State::Established => self.process(seg, payload),
             State::Closed => {}
         }
     }
@@ -457,16 +506,25 @@ impl TcpConn {
         self.timer_kick.wake_all();
     }
 
-    fn process(self: &Rc<Self>, seg: Segment) {
+    fn process(self: &Rc<Self>, seg: Header, payload: &[u8]) {
         if seg.flags & FLAG_ACK != 0 {
-            self.process_ack(&seg);
+            if seg.ack > self.snd_nxt.get() {
+                // RFC 793 §3.9: an ACK of data never sent is answered with
+                // an ACK and the segment is dropped. A conforming peer
+                // never sends one; a forged or corrupt one must not release
+                // bytes that were never sent, or send-ring bytes that do
+                // not exist.
+                self.send_ctl(FLAG_ACK, self.snd_nxt.get(), self.rcv_nxt.get());
+                return;
+            }
+            self.process_ack(&seg, payload.is_empty());
         }
-        if !seg.payload.is_empty() {
-            self.accept_data(seg.seq, seg.payload);
+        if !payload.is_empty() {
+            self.accept_data(seg.seq, payload);
             // Immediate cumulative ACK for every data segment. When the
             // segment left a gap this duplicates the previous ACK, which is
             // exactly what drives the sender's fast retransmit.
-            self.send_raw(FLAG_ACK, self.snd_nxt.get(), self.rcv_nxt.get(), Vec::new());
+            self.send_ctl(FLAG_ACK, self.snd_nxt.get(), self.rcv_nxt.get());
         }
         if seg.flags & FLAG_FIN != 0 {
             self.fin_seen.set(true);
@@ -474,12 +532,11 @@ impl TcpConn {
         }
     }
 
-    fn process_ack(self: &Rc<Self>, seg: &Segment) {
+    fn process_ack(self: &Rc<Self>, seg: &Header, bare: bool) {
         let una = self.snd_una.get();
         if seg.ack > una {
-            // New data acknowledged.
-            let advanced = (seg.ack - una) as usize;
-            self.snd_buf.borrow_mut().drain(..advanced);
+            // New data acknowledged: release it from the ring's head.
+            self.snd_buf.borrow_mut().release((seg.ack - una) as usize);
             self.snd_una.set(seg.ack);
             self.dup_acks.set(0);
             if let Some((probe_seq, sent_at)) = self.rtt_probe.get() {
@@ -502,7 +559,7 @@ impl TcpConn {
             self.pump();
         } else if seg.ack == una
             && self.snd_nxt.get() > una
-            && seg.payload.is_empty()
+            && bare
             && seg.flags & (FLAG_SYN | FLAG_FIN) == 0
         {
             // Duplicate ACK while data is outstanding.
@@ -522,13 +579,21 @@ impl TcpConn {
         }
     }
 
-    fn accept_data(&self, seq: u64, data: Vec<u8>) {
+    /// Delivers in-order bytes to `app_rx` (the one copy of a payload on
+    /// the receive side); only a segment beyond a gap keeps its own copy.
+    fn accept_data(&self, seq: u64, data: &[u8]) {
         let rcv = self.rcv_nxt.get();
-        if seq + data.len() as u64 <= rcv {
+        let Some(end) = seq.checked_add(data.len() as u64) else {
+            return; // past the end of sequence space: garbage
+        };
+        if end <= rcv {
             return; // pure duplicate; the caller still re-ACKs
         }
         if seq > rcv {
-            self.out_of_order.borrow_mut().entry(seq).or_insert(data);
+            self.out_of_order
+                .borrow_mut()
+                .entry(seq)
+                .or_insert_with(|| pool_copy(data));
             return;
         }
         // In-order (possibly overlapping the front): deliver, then drain
@@ -547,6 +612,7 @@ impl TcpConn {
                     app.extend_from_slice(&d[(next - s) as usize..]);
                     next = d_end;
                 }
+                pool_put(d);
             }
         }
         self.rcv_nxt.set(next);

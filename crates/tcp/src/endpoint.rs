@@ -6,11 +6,11 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use nfsperf_net::{DatagramPayload, Path};
+use nfsperf_net::{pool_put, DatagramPayload, Path};
 use nfsperf_sim::{channel, select2, Either, Receiver, Sender, Sim};
 
 use crate::conn::{SharedCounters, TcpConfig, TcpConn, TcpError};
-use crate::segment::{Segment, FLAG_ACK, FLAG_SYN};
+use crate::segment::{Header, FLAG_ACK, FLAG_SYN};
 
 /// Aggregate transport counters for one endpoint (all its connections).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -115,25 +115,10 @@ impl TcpEndpoint {
                     attempt += 1;
                     timeout = (timeout * 2).min(self.config.max_rto);
                     self.counters.retransmits.inc();
-                    self.resend_syn(&conn);
+                    conn.send_syn();
                 }
             }
         }
-    }
-
-    fn resend_syn(&self, conn: &Rc<TcpConn>) {
-        // Retransmitted SYN, identical to the original.
-        self.counters.segments_sent.inc();
-        self.path.send(
-            Segment {
-                conn_id: conn.id(),
-                seq: 0,
-                ack: 0,
-                flags: FLAG_SYN,
-                payload: Vec::new(),
-            }
-            .encode(),
-        );
     }
 
     /// Passive open: yields the next incoming connection. The connection is
@@ -143,29 +128,38 @@ impl TcpEndpoint {
         self.accept_rx.recv().await
     }
 
+    /// Parses each datagram's header in place, hands the connection its
+    /// payload as a borrowed slice, and returns the datagram to the pool.
+    /// Datagrams too short to hold a header are dropped.
     async fn demux_loop(self: Rc<Self>, rx: Receiver<DatagramPayload>) {
         while let Some(datagram) = rx.recv().await {
-            let Some(seg) = Segment::decode(&datagram) else {
-                continue;
-            };
-            let existing = self.conns.borrow().get(&seg.conn_id).cloned();
-            match existing {
-                Some(conn) => conn.on_segment(seg),
-                None => {
-                    // A SYN for an unknown id is a passive open; anything
-                    // else is a stale segment for a connection we already
-                    // dropped — ignore it.
-                    if seg.flags & FLAG_SYN != 0 && seg.flags & FLAG_ACK == 0 {
-                        let conn = TcpConn::passive(
-                            &self.sim,
-                            self.path.clone(),
-                            self.config.clone(),
-                            seg.conn_id,
-                            Rc::clone(&self.counters),
-                        );
-                        self.conns.borrow_mut().insert(seg.conn_id, Rc::clone(&conn));
-                        self.accept_tx.send(conn);
-                    }
+            if let Some((seg, payload)) = Header::parse(&datagram) {
+                self.dispatch(seg, payload);
+            }
+            pool_put(datagram);
+        }
+    }
+
+    fn dispatch(&self, seg: Header, payload: &[u8]) {
+        let existing = self.conns.borrow().get(&seg.conn_id).cloned();
+        match existing {
+            Some(conn) => conn.on_segment(seg, payload),
+            None => {
+                // A SYN for an unknown id is a passive open; anything else
+                // is a stale segment for a connection we already dropped —
+                // ignore it.
+                if seg.flags & FLAG_SYN != 0 && seg.flags & FLAG_ACK == 0 {
+                    let conn = TcpConn::passive(
+                        &self.sim,
+                        self.path.clone(),
+                        self.config.clone(),
+                        seg.conn_id,
+                        Rc::clone(&self.counters),
+                    );
+                    self.conns
+                        .borrow_mut()
+                        .insert(seg.conn_id, Rc::clone(&conn));
+                    self.accept_tx.send(conn);
                 }
             }
         }

@@ -32,6 +32,17 @@ out="$(cargo test -q --release --offline -p nfsperf-fleet --test peak_heap -- --
 echo "$out" | grep "peak heap per in-flight client:" \
     || { echo "$out"; echo "FAIL: peak heap gate printed no measurement"; exit 1; }
 
+echo "==> heap bytes per payload byte of a TCP bulk stream (counting global allocator, release)"
+# A payload byte is copied into the send ring, from the ring into a pooled
+# datagram and from the datagram into the receiver's buffer, with no
+# per-segment allocation of its own: a 4 MiB transfer on a warm
+# connection must stay under the test's bytes-per-payload-byte budget.
+# The measured figure is echoed, so a failing gate's size shows in the log.
+out="$(cargo test -q --release --offline -p nfsperf-tcp --test stream_alloc -- --nocapture 2>&1)" \
+    || { echo "$out"; echo "FAIL: stream allocation gate"; exit 1; }
+echo "$out" | grep "stream heap bytes per payload byte:" \
+    || { echo "$out"; echo "FAIL: stream allocation gate printed no measurement"; exit 1; }
+
 echo "==> host-time benchmark tests (perfbench, release)"
 # The benchmark package has its own workspace. Its tests drive every
 # workload at smoke size through the CLI, including the mirror world
