@@ -4,7 +4,7 @@
 use nfsperf_client::ClientTuning;
 use nfsperf_server::BackendConfig;
 
-use crate::render::{Series, Sweep};
+use crate::render::{Figure, Series};
 use crate::scenario::{run_bonnie, write_throughput_mbps, Scenario, ServerKind};
 
 /// Sweeps `MAX_REQUEST_SOFT`: how the stock flush limit trades spike
@@ -27,7 +27,7 @@ pub fn soft_limit_sweep(limits: &[usize]) -> Vec<(usize, f64, usize)> {
 
 /// Sweeps the RPC slot-table size with the patched client against the
 /// filer: more slots feed the server harder but expose more reply work.
-pub fn slot_table_sweep(slots: &[usize]) -> Sweep {
+pub fn slot_table_sweep(slots: &[usize]) -> Figure {
     let size = 10 << 20;
     let mut flush_points = Vec::new();
     let mut write_points = Vec::new();
@@ -39,7 +39,7 @@ pub fn slot_table_sweep(slots: &[usize]) -> Sweep {
         write_points.push((n as f64, out.report.write_mbps()));
         flush_points.push((n as f64, out.report.flush_mbps()));
     }
-    Sweep {
+    Figure {
         series: vec![
             Series::new("write throughput", write_points),
             Series::new("through flush", flush_points),

@@ -19,19 +19,7 @@ use nfsperf_sim::runner;
 
 use crate::render::ascii_table;
 use crate::scenario::{run_bonnie, Scenario, ServerKind};
-
-/// RAM sizes for the full sweep.
-pub const CAWL_RAM_SIZES: [u64; 3] = [64 << 20, 256 << 20, 1 << 30];
-
-/// RAM sizes for the quick smoke sweep.
-pub const CAWL_QUICK_RAM_SIZES: [u64; 1] = [16 << 20];
-
-/// Servers for the full sweep.
-pub const CAWL_SERVERS: [ServerKind; 3] =
-    [ServerKind::Filer, ServerKind::Knfsd, ServerKind::Fast];
-
-/// Servers for the quick smoke sweep.
-pub const CAWL_QUICK_SERVERS: [ServerKind; 2] = [ServerKind::Filer, ServerKind::Fast];
+use crate::sweep::{distinct, law, nonempty, Sweep};
 
 /// File sizes as multiples of RAM, in halves: ½×, 1×, 2×, 4×.
 pub const CAWL_FILE_HALVES: [u64; 4] = [1, 2, 4, 8];
@@ -110,92 +98,109 @@ pub fn run_cawl(ram_bytes: u64, server: ServerKind, file_halves: u64, seed: u64)
     }
 }
 
-/// Builds the work-list: one independent world per RAM × server × file
-/// size, each deriving its own seed, in row order.
-pub fn cawl_cells(
-    rams: &[u64],
-    servers: &[ServerKind],
-    seed: u64,
-) -> Vec<runner::Cell<CawlCell>> {
-    let mut cells = Vec::new();
-    let mut i = 0u64;
-    for &ram in rams {
-        for &server in servers {
-            for &halves in &CAWL_FILE_HALVES {
-                // SplitMix-style spread so per-cell jitter streams are
-                // distinct but reproducible.
-                let cell_seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1));
-                i += 1;
-                cells.push(runner::Cell::new(
-                    format!(
-                        "cawl/{}M/{}/{}x",
-                        ram >> 20,
-                        server.label(),
-                        halves as f64 / 2.0
-                    ),
-                    move || run_cawl(ram, server, halves, cell_seed),
-                ));
+/// The CAWL regime sweep: client RAM × server × file size.
+pub struct CawlSweep;
+
+/// Inputs of one [`CawlSweep`] run.
+#[derive(Debug, Clone)]
+pub struct CawlGrid {
+    /// Client RAM sizes, bytes.
+    pub rams: Vec<u64>,
+    /// Servers under test.
+    pub servers: Vec<ServerKind>,
+    /// Base RNG seed; each cell derives its own from it.
+    pub seed: u64,
+}
+
+impl Sweep for CawlSweep {
+    const NAME: &'static str = "cawl";
+    type Config = CawlGrid;
+    type Run = CawlCell;
+    type Row = CawlCell;
+
+    fn quick() -> CawlGrid {
+        CawlGrid {
+            rams: vec![16 << 20],
+            servers: vec![ServerKind::Filer, ServerKind::Fast],
+            ..Self::full()
+        }
+    }
+
+    fn full() -> CawlGrid {
+        CawlGrid {
+            rams: vec![64 << 20, 256 << 20, 1 << 30],
+            servers: vec![ServerKind::Filer, ServerKind::Knfsd, ServerKind::Fast],
+            seed: 0xCA31,
+        }
+    }
+
+    fn title(grid: &CawlGrid) -> String {
+        format!(
+            "cawl sweep: RAM {:?} MB x {} server(s) x file {{0.5, 1, 2, 4}}x RAM, cawl tuning",
+            grid.rams.iter().map(|r| r >> 20).collect::<Vec<_>>(),
+            grid.servers.len()
+        )
+    }
+
+    /// One independent world per RAM × server × file size, each deriving
+    /// its own seed, in row order.
+    fn cells(grid: &CawlGrid) -> Vec<runner::Cell<CawlCell>> {
+        let mut cells = Vec::new();
+        let mut i = 0u64;
+        for &ram in &grid.rams {
+            for &server in &grid.servers {
+                for &halves in &CAWL_FILE_HALVES {
+                    // SplitMix-style spread so per-cell jitter streams are
+                    // distinct but reproducible.
+                    let cell_seed = grid
+                        .seed
+                        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1));
+                    i += 1;
+                    cells.push(runner::Cell::new(
+                        format!(
+                            "{}/{}M/{}/{}x",
+                            Self::NAME,
+                            ram >> 20,
+                            server.label(),
+                            halves as f64 / 2.0
+                        ),
+                        move || run_cawl(ram, server, halves, cell_seed),
+                    ));
+                }
             }
         }
-    }
-    cells
-}
-
-/// The full sweep result.
-#[derive(Debug, Clone)]
-pub struct CawlSweep {
-    /// All cells in RAM × server × file-size order.
-    pub rows: Vec<CawlCell>,
-}
-
-/// Runs the sweep on up to `jobs` worker threads. Cells are independent
-/// worlds, deterministic for a given input — rows (and the CSV) are
-/// bit-identical at any `jobs` value.
-pub fn cawl_sweep(rams: &[u64], servers: &[ServerKind], jobs: usize) -> CawlSweep {
-    CawlSweep {
-        rows: runner::run_cells(jobs, cawl_cells(rams, servers, 0xCA31)),
-    }
-}
-
-impl CawlSweep {
-    /// The sweep as CSV (also what [`CawlSweep::write_csv`] writes).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "ram_mb,server,file_mb,file_over_ram,app_mbps,flush_mbps,\
-             throttle_events,throttle_ms,peak_dirty_pages,hard_limit_pages,regime\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{:.1},{:.3},{:.3},{},{:.3},{},{},{}\n",
-                r.ram_bytes >> 20,
-                r.server.label(),
-                r.file_bytes() >> 20,
-                r.file_over_ram(),
-                r.app_mbps,
-                r.flush_mbps,
-                r.throttle_events,
-                r.throttle_ms,
-                r.peak_dirty_pages,
-                r.hard_limit_pages,
-                r.regime(),
-            ));
-        }
-        out
+        cells
     }
 
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
+    fn assemble(_: &CawlGrid, runs: Vec<CawlCell>) -> Vec<CawlCell> {
+        runs
     }
 
-    /// Renders an ASCII table plus regime-knee and faster-server
-    /// verdicts.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
+    fn header() -> &'static str {
+        "ram_mb,server,file_mb,file_over_ram,app_mbps,flush_mbps,\
+         throttle_events,throttle_ms,peak_dirty_pages,hard_limit_pages,regime"
+    }
+
+    fn csv_row(_: &[CawlCell], r: &CawlCell) -> String {
+        format!(
+            "{},{},{},{:.1},{:.3},{:.3},{},{:.3},{},{},{}",
+            r.ram_bytes >> 20,
+            r.server.label(),
+            r.file_bytes() >> 20,
+            r.file_over_ram(),
+            r.app_mbps,
+            r.flush_mbps,
+            r.throttle_events,
+            r.throttle_ms,
+            r.peak_dirty_pages,
+            r.hard_limit_pages,
+            r.regime(),
+        )
+    }
+
+    /// An ASCII table plus regime-knee and faster-server verdicts.
+    fn render(rows: &[CawlCell]) -> String {
+        let table: Vec<Vec<String>> = rows
             .iter()
             .map(|r| {
                 vec![
@@ -221,18 +226,16 @@ impl CawlSweep {
                 "throttle ms",
                 "regime",
             ],
-            &rows,
+            &table,
         );
         // Knee check: files under the dirty ratio (the ½× column) never
         // throttle, and a cell that does throttle pinned exactly at the
         // hard limit — the knee sits at the dirty-ratio boundary.
-        let half_fit = self
-            .rows
+        let half_fit = rows
             .iter()
             .filter(|r| r.file_halves == 1)
             .all(|r| r.regime() == "cache-fit");
-        let pinned_at_knee = self
-            .rows
+        let pinned_at_knee = rows
             .iter()
             .filter(|r| r.throttle_events > 0)
             .all(|r| r.peak_dirty_pages == r.hard_limit_pages);
@@ -240,12 +243,12 @@ impl CawlSweep {
             "knee at the dirty ratio: 0.5x cells cache-fit: {half_fit}; \
              throttled cells peak exactly at the hard limit: {pinned_at_knee}\n"
         ));
+        let rams = distinct(rows, |r| r.ram_bytes);
         // Where each server's knee shows up (first file multiple that
         // throttles), per RAM size.
-        for &ram in &unique_rams(&self.rows) {
-            for server in unique_servers(&self.rows) {
-                let first = self
-                    .rows
+        for &ram in &rams {
+            for server in distinct(rows, |r| r.server) {
+                let first = rows
                     .iter()
                     .filter(|r| r.ram_bytes == ram && r.server == server)
                     .find(|r| r.throttle_events > 0);
@@ -267,9 +270,8 @@ impl CawlSweep {
         // The paper's "faster server, slower client": in the cache-fit
         // column the server only matters through reply processing, so a
         // faster server can cost the writer CPU.
-        for &ram in &unique_rams(&self.rows) {
-            let fit: Vec<&CawlCell> = self
-                .rows
+        for &ram in &rams {
+            let fit: Vec<&CawlCell> = rows
                 .iter()
                 .filter(|r| r.ram_bytes == ram && r.file_halves == 1)
                 .collect();
@@ -296,28 +298,32 @@ impl CawlSweep {
         }
         out
     }
-}
 
-/// The distinct RAM sizes present, in row order.
-fn unique_rams(rows: &[CawlCell]) -> Vec<u64> {
-    let mut rams = Vec::new();
-    for r in rows {
-        if !rams.contains(&r.ram_bytes) {
-            rams.push(r.ram_bytes);
+    /// Both regimes appear; a file under the dirty ratio never
+    /// throttles; a throttled cell pins exactly at the hard limit (the
+    /// knee); every cell moves data.
+    fn check_quick(rows: &[CawlCell]) -> Result<(), String> {
+        nonempty(rows)?;
+        for r in rows {
+            law(
+                r.file_halves != 1 || r.throttle_events == 0,
+                "sub-ratio cell throttled",
+                r,
+            )?;
+            law(
+                r.throttle_events == 0 || r.peak_dirty_pages == r.hard_limit_pages,
+                "throttled cell not pinned at hard limit",
+                r,
+            )?;
+            law(r.app_mbps > 0.0, "zero app throughput", r)?;
         }
-    }
-    rams
-}
-
-/// The distinct servers present, in row order.
-fn unique_servers(rows: &[CawlCell]) -> Vec<ServerKind> {
-    let mut servers = Vec::new();
-    for r in rows {
-        if !servers.contains(&r.server) {
-            servers.push(r.server);
+        for regime in ["cache-fit", "writeback-bound"] {
+            if !rows.iter().any(|r| r.regime() == regime) {
+                return Err(format!("no {regime} cell: the sweep must show both regimes"));
+            }
         }
+        Ok(())
     }
-    servers
 }
 
 #[cfg(test)]
@@ -326,8 +332,9 @@ mod tests {
 
     #[test]
     fn cell_geometry() {
-        let cells = cawl_cells(&CAWL_QUICK_RAM_SIZES, &CAWL_QUICK_SERVERS, 1);
+        let cells = CawlSweep::cells(&CawlSweep::quick());
         assert_eq!(cells.len(), 2 * 4);
+        assert_eq!(cells[0].label, "cawl/16M/netapp-filer/0.5x");
     }
 
     #[test]

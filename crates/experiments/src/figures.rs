@@ -7,7 +7,7 @@
 use nfsperf_client::ClientTuning;
 use nfsperf_sim::{runner, Histogram, SimDuration};
 
-use crate::render::{Series, Sweep};
+use crate::render::{Figure, Series};
 use crate::scenario::{run_bonnie, run_local, write_throughput_mbps, Scenario, ServerKind};
 
 /// The paper's file-size sweep: 25 MB to 450 MB in 25 MB steps.
@@ -41,7 +41,7 @@ fn throughput_point(tuning: ClientTuning, server: Option<ServerKind>, size: u64)
 
 /// Folds the per-point results (work-list order: local, filer, knfsd
 /// per size) back into the three-series sweep.
-fn sweep_from_points(sizes_len: usize, points: &[(f64, f64)]) -> Sweep {
+fn sweep_from_points(sizes_len: usize, points: &[(f64, f64)]) -> Figure {
     const BACKENDS: usize = 3;
     assert_eq!(points.len(), sizes_len * BACKENDS, "3 backends per size");
     let mut local = Vec::with_capacity(sizes_len);
@@ -52,7 +52,7 @@ fn sweep_from_points(sizes_len: usize, points: &[(f64, f64)]) -> Sweep {
         filer.push(chunk[1]);
         knfsd.push(chunk[2]);
     }
-    Sweep {
+    Figure {
         series: vec![
             Series::new("local ext2", local),
             Series::new("netapp filer", filer),
@@ -68,7 +68,7 @@ fn sweep_from_points(sizes_len: usize, points: &[(f64, f64)]) -> Sweep {
 /// an isolated world, fanned across up to `jobs` worker threads; results
 /// come back in work-list order, so the sweep (and its CSV) is
 /// bit-identical at any `jobs` value.
-pub fn throughput_sweep(tuning: ClientTuning, sizes: &[u64], jobs: usize) -> Sweep {
+pub fn throughput_sweep(tuning: ClientTuning, sizes: &[u64], jobs: usize) -> Figure {
     let mut cells: Vec<runner::Cell<(f64, f64)>> = Vec::new();
     for &size in sizes {
         cells.push(runner::Cell::new(
@@ -91,14 +91,14 @@ pub fn throughput_sweep(tuning: ClientTuning, sizes: &[u64], jobs: usize) -> Swe
 /// Figure 1: local vs NFS memory write performance with the **stock**
 /// 2.4.4 client. NFS throughput stays pinned at network/server speed
 /// while local writes run at memory speed until RAM is exhausted.
-pub fn figure1(sizes: &[u64], jobs: usize) -> Sweep {
+pub fn figure1(sizes: &[u64], jobs: usize) -> Figure {
     throughput_sweep(ClientTuning::linux_2_4_4(), sizes, jobs)
 }
 
 /// Figure 7: the same sweep with the **fully patched** client. NFS write
 /// throughput approaches local memory speed while RAM lasts, and the
 /// filer sustains more than the Linux server past exhaustion.
-pub fn figure7(sizes: &[u64], jobs: usize) -> Sweep {
+pub fn figure7(sizes: &[u64], jobs: usize) -> Figure {
     throughput_sweep(ClientTuning::full_patch(), sizes, jobs)
 }
 

@@ -24,9 +24,7 @@ use nfsperf_sunrpc::Transport;
 
 use crate::render::ascii_table;
 use crate::scenario::ServerKind;
-
-/// The scaling sweep's client counts (1 → 32, doubling).
-pub const FLEET_CLIENT_COUNTS: &[usize] = &[1, 2, 4, 8, 16, 32];
+use crate::sweep::{distinct, law, nonempty, Sweep};
 
 /// One fleet measurement's parameters.
 #[derive(Debug, Clone)]
@@ -244,138 +242,143 @@ pub struct FleetCell {
     pub svc_p99_ms: f64,
 }
 
-/// The full scaling sweep: client counts × servers × transports.
+/// The client-scaling sweep: client counts × servers × transports.
+pub struct FleetSweep;
+
+/// Inputs of one [`FleetSweep`] run.
 #[derive(Debug, Clone)]
-pub struct FleetSweep {
-    /// All cells, in (server, transport, clients) order.
-    pub rows: Vec<FleetCell>,
-    /// Bytes each client wrote.
+pub struct FleetGrid {
+    /// Client counts, ascending.
+    pub counts: Vec<usize>,
+    /// Servers under test.
+    pub servers: Vec<ServerKind>,
+    /// Mount transports.
+    pub transports: Vec<Transport>,
+    /// Sequential bytes each client writes.
     pub bytes_per_client: u64,
 }
 
-/// Builds the sweep's work-list: one [`runner::Cell`] per
-/// `(server, transport, clients)` triple, in sweep order.
-pub fn fleet_cells(
-    counts: &[usize],
-    servers: &[ServerKind],
-    transports: &[Transport],
-    bytes_per_client: u64,
-) -> Vec<runner::Cell<FleetCell>> {
-    let mut cells = Vec::new();
-    for &server in servers {
-        for &transport in transports {
-            for &clients in counts {
-                cells.push(runner::Cell::new(
-                    format!(
-                        "fleet/{}/{}/c{}",
-                        server.label(),
-                        transport.label(),
-                        clients
-                    ),
-                    move || {
-                        let run = run_fleet(&FleetConfig::new(
-                            server,
-                            transport,
-                            clients,
-                            bytes_per_client,
-                        ));
-                        let n = run.per_client_mbps.len() as f64;
-                        FleetCell {
-                            server,
-                            transport,
-                            clients,
-                            aggregate_mbps: run.aggregate_mbps,
-                            per_client_mean_mbps: run.per_client_mbps.iter().sum::<f64>() / n,
-                            per_client_min_mbps: run
-                                .per_client_mbps
-                                .iter()
-                                .copied()
-                                .fold(f64::INFINITY, f64::min),
-                            jain: run.jain,
-                            svc_p50_ms: worst_ms(&run.per_client_server, |c| c.service.p50),
-                            svc_p99_ms: worst_ms(&run.per_client_server, |c| c.service.p99),
-                        }
-                    },
-                ));
+/// The `(clients, aggregate MB/s)` curve for one server × transport.
+pub fn series(rows: &[FleetCell], server: ServerKind, transport: Transport) -> Vec<(usize, f64)> {
+    rows.iter()
+        .filter(|r| r.server == server && r.transport == transport)
+        .map(|r| (r.clients, r.aggregate_mbps))
+        .collect()
+}
+
+/// The saturation knee of one curve: the largest client count that
+/// still bought ≥ 10% more aggregate throughput — past it, the ceiling
+/// (server or shared link), not client count, bounds the fleet. `None`
+/// if the curve never flattens within the sweep.
+pub fn knee(rows: &[FleetCell], server: ServerKind, transport: Transport) -> Option<usize> {
+    series(rows, server, transport)
+        .windows(2)
+        .find(|w| w[1].1 < w[0].1 * 1.10)
+        .map(|w| w[0].0)
+}
+
+impl Sweep for FleetSweep {
+    const NAME: &'static str = "fleet";
+    type Config = FleetGrid;
+    type Run = FleetCell;
+    type Row = FleetCell;
+
+    fn quick() -> FleetGrid {
+        FleetGrid {
+            counts: vec![1, 2, 4],
+            bytes_per_client: 1 << 20,
+            ..Self::full()
+        }
+    }
+
+    fn full() -> FleetGrid {
+        FleetGrid {
+            counts: vec![1, 2, 4, 8, 16, 32],
+            servers: vec![ServerKind::Filer, ServerKind::Knfsd],
+            transports: vec![Transport::Udp, Transport::Tcp],
+            bytes_per_client: 4 << 20,
+        }
+    }
+
+    fn title(grid: &FleetGrid) -> String {
+        format!(
+            "fleet scaling sweep: {} MB per client, shared uplink at the server NIC rate",
+            grid.bytes_per_client >> 20
+        )
+    }
+
+    /// One cell per `(server, transport, clients)` triple, in sweep order.
+    fn cells(grid: &FleetGrid) -> Vec<runner::Cell<FleetCell>> {
+        let bytes_per_client = grid.bytes_per_client;
+        let mut cells = Vec::new();
+        for &server in &grid.servers {
+            for &transport in &grid.transports {
+                for &clients in &grid.counts {
+                    cells.push(runner::Cell::new(
+                        format!(
+                            "{}/{}/{}/c{}",
+                            Self::NAME,
+                            server.label(),
+                            transport.label(),
+                            clients
+                        ),
+                        move || {
+                            let run = run_fleet(&FleetConfig::new(
+                                server,
+                                transport,
+                                clients,
+                                bytes_per_client,
+                            ));
+                            let n = run.per_client_mbps.len() as f64;
+                            FleetCell {
+                                server,
+                                transport,
+                                clients,
+                                aggregate_mbps: run.aggregate_mbps,
+                                per_client_mean_mbps: run.per_client_mbps.iter().sum::<f64>() / n,
+                                per_client_min_mbps: run
+                                    .per_client_mbps
+                                    .iter()
+                                    .copied()
+                                    .fold(f64::INFINITY, f64::min),
+                                jain: run.jain,
+                                svc_p50_ms: worst_ms(&run.per_client_server, |c| c.service.p50),
+                                svc_p99_ms: worst_ms(&run.per_client_server, |c| c.service.p99),
+                            }
+                        },
+                    ));
+                }
             }
         }
-    }
-    cells
-}
-
-/// Runs the sweep on up to `jobs` worker threads. Cells are fully
-/// independent worlds, deterministic for a given
-/// `(counts, servers, transports, bytes_per_client)` input — the rows
-/// (and the CSV) are bit-identical at any `jobs` value.
-pub fn fleet_sweep(
-    counts: &[usize],
-    servers: &[ServerKind],
-    transports: &[Transport],
-    bytes_per_client: u64,
-    jobs: usize,
-) -> FleetSweep {
-    FleetSweep {
-        rows: runner::run_cells(jobs, fleet_cells(counts, servers, transports, bytes_per_client)),
-        bytes_per_client,
-    }
-}
-
-impl FleetSweep {
-    /// The `(clients, aggregate MB/s)` curve for one server × transport.
-    pub fn series(&self, server: ServerKind, transport: Transport) -> Vec<(usize, f64)> {
-        self.rows
-            .iter()
-            .filter(|r| r.server == server && r.transport == transport)
-            .map(|r| (r.clients, r.aggregate_mbps))
-            .collect()
+        cells
     }
 
-    /// The saturation knee of one curve: the largest client count that
-    /// still bought ≥ 10% more aggregate throughput — past it, the
-    /// ceiling (server or shared link), not client count, bounds the
-    /// fleet. `None` if the curve never flattens within the sweep.
-    pub fn knee(&self, server: ServerKind, transport: Transport) -> Option<usize> {
-        let curve = self.series(server, transport);
-        curve
-            .windows(2)
-            .find(|w| w[1].1 < w[0].1 * 1.10)
-            .map(|w| w[0].0)
+    fn assemble(_: &FleetGrid, runs: Vec<FleetCell>) -> Vec<FleetCell> {
+        runs
     }
 
-    /// The sweep as CSV (also what [`FleetSweep::write_csv`] writes).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "server,transport,clients,aggregate_mbps,per_client_mean_mbps,per_client_min_mbps,jain,svc_p50_ms,svc_p99_ms\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{:.3},{:.3},{:.3},{:.4},{:.3},{:.3}\n",
-                r.server.label(),
-                r.transport.label(),
-                r.clients,
-                r.aggregate_mbps,
-                r.per_client_mean_mbps,
-                r.per_client_min_mbps,
-                r.jain,
-                r.svc_p50_ms,
-                r.svc_p99_ms,
-            ));
-        }
-        out
+    fn header() -> &'static str {
+        "server,transport,clients,aggregate_mbps,per_client_mean_mbps,per_client_min_mbps,jain,svc_p50_ms,svc_p99_ms"
     }
 
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
+    fn csv_row(_: &[FleetCell], r: &FleetCell) -> String {
+        format!(
+            "{},{},{},{:.3},{:.3},{:.3},{:.4},{:.3},{:.3}",
+            r.server.label(),
+            r.transport.label(),
+            r.clients,
+            r.aggregate_mbps,
+            r.per_client_mean_mbps,
+            r.per_client_min_mbps,
+            r.jain,
+            r.svc_p50_ms,
+            r.svc_p99_ms,
+        )
     }
 
-    /// Renders an ASCII table plus the per-curve saturation knees.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
+    /// An ASCII table plus the per-curve saturation knees.
+    fn render(rows: &[FleetCell]) -> String {
+        let table: Vec<Vec<String>> = rows
             .iter()
             .map(|r| {
                 vec![
@@ -401,16 +404,10 @@ impl FleetSweep {
                 "jain",
                 "svc p99 ms",
             ],
-            &rows,
+            &table,
         );
-        let mut curves: Vec<(ServerKind, Transport)> = Vec::new();
-        for r in &self.rows {
-            if !curves.contains(&(r.server, r.transport)) {
-                curves.push((r.server, r.transport));
-            }
-        }
-        for (server, transport) in curves {
-            match self.knee(server, transport) {
+        for (server, transport) in distinct(rows, |r| (r.server, r.transport)) {
+            match knee(rows, server, transport) {
                 Some(knee) => out.push_str(&format!(
                     "{} over {}: saturates at {} client(s)\n",
                     server.label(),
@@ -425,6 +422,17 @@ impl FleetSweep {
             }
         }
         out
+    }
+
+    /// Every cell moves bytes, and identical clients share fairly
+    /// (Jain ≥ 0.9) even at small N.
+    fn check_quick(rows: &[FleetCell]) -> Result<(), String> {
+        nonempty(rows)?;
+        for r in rows {
+            law(r.aggregate_mbps > 0.0, "zero aggregate throughput", r)?;
+            law(r.jain >= 0.9, "unfair fleet (jain < 0.9)", r)?;
+        }
+        Ok(())
     }
 }
 
@@ -494,54 +502,37 @@ mod tests {
         assert!(run.aggregate_mbps > 0.0);
     }
 
+    fn cell(clients: usize, aggregate_mbps: f64) -> FleetCell {
+        FleetCell {
+            server: ServerKind::Filer,
+            transport: Transport::Udp,
+            clients,
+            aggregate_mbps,
+            per_client_mean_mbps: aggregate_mbps / clients as f64,
+            per_client_min_mbps: aggregate_mbps / clients as f64,
+            jain: 1.0,
+            svc_p50_ms: 0.2,
+            svc_p99_ms: 0.5,
+        }
+    }
+
     #[test]
     fn sweep_rows_and_knee_reporting() {
-        let sweep = fleet_sweep(&[1, 2], &[ServerKind::Filer], &[Transport::Udp], 1 << 20, 1);
-        assert_eq!(sweep.rows.len(), 2);
-        let csv = sweep.to_csv();
-        assert!(csv.starts_with("server,transport,clients,aggregate_mbps"));
-        assert_eq!(csv.lines().count(), 3);
-        let rendered = sweep.render();
-        assert!(rendered.contains("netapp-filer"));
-        // Synthetic knee check on a hand-built sweep.
-        let flat = FleetSweep {
-            rows: vec![
-                FleetCell {
-                    server: ServerKind::Filer,
-                    transport: Transport::Udp,
-                    clients: 1,
-                    aggregate_mbps: 30.0,
-                    per_client_mean_mbps: 30.0,
-                    per_client_min_mbps: 30.0,
-                    jain: 1.0,
-                    svc_p50_ms: 0.2,
-                    svc_p99_ms: 0.5,
-                },
-                FleetCell {
-                    server: ServerKind::Filer,
-                    transport: Transport::Udp,
-                    clients: 2,
-                    aggregate_mbps: 55.0,
-                    per_client_mean_mbps: 27.5,
-                    per_client_min_mbps: 27.0,
-                    jain: 1.0,
-                    svc_p50_ms: 0.3,
-                    svc_p99_ms: 0.8,
-                },
-                FleetCell {
-                    server: ServerKind::Filer,
-                    transport: Transport::Udp,
-                    clients: 4,
-                    aggregate_mbps: 56.0,
-                    per_client_mean_mbps: 14.0,
-                    per_client_min_mbps: 13.5,
-                    jain: 1.0,
-                    svc_p50_ms: 0.6,
-                    svc_p99_ms: 1.4,
-                },
-            ],
+        let grid = FleetGrid {
+            counts: vec![1, 2],
+            servers: vec![ServerKind::Filer],
+            transports: vec![Transport::Udp],
             bytes_per_client: 1 << 20,
         };
-        assert_eq!(flat.knee(ServerKind::Filer, Transport::Udp), Some(2));
+        let rows = crate::sweep::run::<FleetSweep>(&grid, 1);
+        assert_eq!(rows.len(), 2);
+        let csv = crate::sweep::to_csv::<FleetSweep>(&rows);
+        assert!(csv.starts_with("server,transport,clients,aggregate_mbps"));
+        assert_eq!(csv.lines().count(), 3);
+        let rendered = FleetSweep::render(&rows);
+        assert!(rendered.contains("netapp-filer"));
+        // Synthetic knee check on hand-built rows.
+        let flat = [cell(1, 30.0), cell(2, 55.0), cell(4, 56.0)];
+        assert_eq!(knee(&flat, ServerKind::Filer, Transport::Udp), Some(2));
     }
 }

@@ -6,7 +6,8 @@
 //! loss; [`fleet`] scales client count against one shared server;
 //! [`megafleet`] pushes that to 10k–1M flyweight clients through a
 //! multi-stage fabric; [`scenario`] assembles worlds; [`render`] writes
-//! CSVs and ASCII charts.
+//! CSVs and ASCII charts. Every parameter sweep implements [`Sweep`] and
+//! runs through [`run`] (see [`sweep`]).
 
 pub mod ablations;
 pub mod arrivals;
@@ -19,6 +20,7 @@ pub mod netqos;
 pub mod qos;
 pub mod render;
 pub mod scenario;
+pub mod sweep;
 pub mod transport;
 
 pub use ablations::{
@@ -26,18 +28,12 @@ pub use ablations::{
     soft_limit_sweep, workload_comparison, wsize_sweep, CpuAblation, MtuAblation,
     WorkloadComparison,
 };
-pub use cawl::{
-    cawl_cells, cawl_sweep, run_cawl, CawlCell, CawlSweep, CAWL_FILE_HALVES, CAWL_QUICK_RAM_SIZES,
-    CAWL_QUICK_SERVERS, CAWL_RAM_SIZES, CAWL_SERVERS,
-};
+pub use cawl::{run_cawl, CawlCell, CawlGrid, CawlSweep, CAWL_FILE_HALVES};
 pub use concurrency::{concurrent_writers, future_work_comparison, ConcurrencyResult, Topology};
-pub use fleet::{
-    fleet_cells, fleet_sweep, jain_index, run_fleet, FleetCell, FleetConfig, FleetRun, FleetSweep,
-    FLEET_CLIENT_COUNTS,
-};
+pub use fleet::{jain_index, run_fleet, FleetCell, FleetConfig, FleetGrid, FleetRun, FleetSweep};
 pub use megafleet::{
-    bytes_for_count, megafleet_cells, megafleet_sweep, run_megafleet, MegaCell, MegaConfig,
-    MegaRun, MegaSweep, MEGAFLEET_COUNTS, MEGAFLEET_FAITHFUL, MEGAFLEET_QUICK_COUNTS,
+    bytes_for_count, run_megafleet, MegaCell, MegaConfig, MegaGrid, MegaRun, MegaSweep,
+    MEGAFLEET_FAITHFUL,
 };
 pub use figures::{
     figure1, figure2, figure3, figure4, figure5, figure6, figure7, paper_file_sizes,
@@ -46,14 +42,13 @@ pub use figures::{
 };
 pub use arrivals::{OpenLoop, TrafficMix};
 pub use netqos::{
-    netqos_sweep, run_netqos, NetQosCell, NetQosConfig, NetQosRun, NetQosSweep, NetSched,
+    run_netqos, NetQosCell, NetQosConfig, NetQosGrid, NetQosRun, NetQosSweep, NetSched,
 };
-pub use qos::{
-    assemble_qos_rows, qos_run_cells, qos_sweep, run_qos, QosCell, QosConfig, QosRun, QosSweep,
-};
-pub use render::{ascii_table, write_rows_csv, Series, Sweep};
+pub use qos::{run_qos, QosCell, QosConfig, QosGrid, QosRun, QosSweep};
+pub use render::{ascii_table, write_rows_csv, Figure, Series};
 pub use scenario::{
     run_bonnie, run_custom, run_local, run_local_with_ram, write_throughput_mbps, RunOutput,
     Scenario, ServerKind,
 };
-pub use transport::{transport_cells, transport_sweep, TransportRow, TransportSweep, LOSS_RATES};
+pub use sweep::{run, to_csv, write_csv, Sweep};
+pub use transport::{TransportGrid, TransportRow, TransportSweep};

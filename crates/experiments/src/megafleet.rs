@@ -26,12 +26,7 @@ use nfsperf_sunrpc::Transport;
 use crate::fleet::jain_index;
 use crate::render::ascii_table;
 use crate::scenario::ServerKind;
-
-/// The full sweep's flyweight counts: 1k → 1M, a decade per step.
-pub const MEGAFLEET_COUNTS: &[u32] = &[1_000, 10_000, 100_000, 1_000_000];
-
-/// The quick sweep's counts (still covers the required 100k cell).
-pub const MEGAFLEET_QUICK_COUNTS: &[u32] = &[1_000, 10_000, 100_000];
+use crate::sweep::{distinct, law, nonempty, Sweep};
 
 /// Faithful clients embedded in every mixed fleet.
 pub const MEGAFLEET_FAITHFUL: usize = 4;
@@ -283,119 +278,162 @@ pub struct MegaCell {
 }
 
 /// The megafleet scaling sweep: flyweight counts × servers.
+pub struct MegaSweep;
+
+/// Inputs of one [`MegaSweep`] run.
 #[derive(Debug, Clone)]
-pub struct MegaSweep {
-    /// All cells, in (server, flyweights) order.
-    pub rows: Vec<MegaCell>,
-    /// Whether the quick byte scaling was used.
+pub struct MegaGrid {
+    /// Flyweight counts, strictly increasing.
+    pub counts: Vec<u32>,
+    /// Servers under test.
+    pub servers: Vec<ServerKind>,
+    /// Whether [`bytes_for_count`] uses its quick byte scaling.
     pub quick: bool,
 }
 
-/// Builds the sweep's work-list: one cell per (server, count) pair.
-pub fn megafleet_cells(
-    counts: &[u32],
-    servers: &[ServerKind],
-    quick: bool,
-) -> Vec<runner::Cell<MegaCell>> {
-    let mut cells = Vec::new();
-    for &server in servers {
-        for &flyweights in counts {
-            cells.push(runner::Cell::new(
-                format!("megafleet/{}/f{}", server.label(), flyweights),
-                move || {
-                    let bytes = bytes_for_count(flyweights, quick);
-                    let run = run_megafleet(&MegaConfig::new(server, flyweights, bytes));
-                    MegaCell {
-                        server,
-                        flyweights,
-                        faithful: run.faithful,
-                        aggregate_mbps: run.aggregate_mbps,
-                        fly_mean_mbps: run.fly_mbps.iter().sum::<f64>()
-                            / run.fly_mbps.len().max(1) as f64,
-                        fly_jain: jain_index(&run.fly_mbps),
-                        faithful_mean_mbps: run.faithful_mbps.iter().sum::<f64>()
-                            / run.faithful_mbps.len().max(1) as f64,
-                        faithful_jain: jain_index(&run.faithful_mbps),
-                        fly_rpc_p99_ms: run.fly_rpc_p99_ms,
-                        faithful_svc_p99_ms: run.faithful_svc_p99_ms,
-                        bytes_per_client: run.bytes_per_client,
-                    }
-                },
-            ));
-        }
+/// Parses a `--counts` list: comma-separated, positive and strictly
+/// increasing, so adjacent rows of a curve are successive fleet sizes
+/// (the knee compares them in order).
+pub fn parse_counts(list: &str) -> Result<Vec<u32>, String> {
+    let bad = || format!("bad --counts list: {list}");
+    let counts = list
+        .split(',')
+        .map(|s| s.trim().parse::<u32>())
+        .collect::<Result<Vec<u32>, _>>()
+        .map_err(|_| bad())?;
+    if counts.is_empty() || counts.contains(&0) {
+        return Err(bad());
     }
-    cells
+    if counts.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(format!("--counts must be strictly increasing: {list}"));
+    }
+    Ok(counts)
 }
 
-/// Runs the sweep on up to `jobs` workers; rows (and the CSV) are
-/// bit-identical at any `jobs` value.
-pub fn megafleet_sweep(counts: &[u32], servers: &[ServerKind], quick: bool, jobs: usize) -> MegaSweep {
-    MegaSweep {
-        rows: runner::run_cells(jobs, megafleet_cells(counts, servers, quick)),
-        quick,
-    }
+/// The `(flyweights, aggregate MB/s)` curve for one server.
+pub fn series(rows: &[MegaCell], server: ServerKind) -> Vec<(u32, f64)> {
+    rows.iter()
+        .filter(|r| r.server == server)
+        .map(|r| (r.flyweights, r.aggregate_mbps))
+        .collect()
 }
 
-impl MegaSweep {
-    /// The `(flyweights, aggregate MB/s)` curve for one server.
-    pub fn series(&self, server: ServerKind) -> Vec<(u32, f64)> {
-        self.rows
-            .iter()
-            .filter(|r| r.server == server)
-            .map(|r| (r.flyweights, r.aggregate_mbps))
-            .collect()
-    }
+/// The saturation knee of one server's curve: the largest fleet size
+/// that still bought ≥ 10% more aggregate throughput.
+pub fn knee(rows: &[MegaCell], server: ServerKind) -> Option<u32> {
+    series(rows, server)
+        .windows(2)
+        .find(|w| w[1].1 < w[0].1 * 1.10)
+        .map(|w| w[0].0)
+}
 
-    /// The saturation knee of one server's curve: the largest fleet size
-    /// that still bought ≥ 10% more aggregate throughput.
-    pub fn knee(&self, server: ServerKind) -> Option<u32> {
-        let curve = self.series(server);
-        curve
-            .windows(2)
-            .find(|w| w[1].1 < w[0].1 * 1.10)
-            .map(|w| w[0].0)
-    }
+impl Sweep for MegaSweep {
+    const NAME: &'static str = "megafleet";
+    const OPTIONS: &'static [&'static str] = &["--counts"];
+    type Config = MegaGrid;
+    type Run = MegaCell;
+    type Row = MegaCell;
 
-    /// The sweep as CSV. `at_knee` marks each curve's knee row. Every
-    /// column is a simulated result; the host engine's event count is
-    /// reported by `nfsperf bench`, not here.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "server,flyweights,faithful,aggregate_mbps,fly_mean_mbps,fly_jain,faithful_mean_mbps,faithful_jain,fly_rpc_p99_ms,faithful_svc_p99_ms,bytes_per_client,at_knee\n",
-        );
-        for r in &self.rows {
-            let at_knee = self.knee(r.server) == Some(r.flyweights);
-            out.push_str(&format!(
-                "{},{},{},{:.3},{:.6},{:.4},{:.3},{:.4},{:.3},{:.3},{},{}\n",
-                r.server.label(),
-                r.flyweights,
-                r.faithful,
-                r.aggregate_mbps,
-                r.fly_mean_mbps,
-                r.fly_jain,
-                r.faithful_mean_mbps,
-                r.faithful_jain,
-                r.fly_rpc_p99_ms,
-                r.faithful_svc_p99_ms,
-                r.bytes_per_client,
-                if at_knee { "yes" } else { "" },
-            ));
+    /// Still covers the required 100k cell.
+    fn quick() -> MegaGrid {
+        MegaGrid {
+            counts: vec![1_000, 10_000, 100_000],
+            quick: true,
+            ..Self::full()
         }
-        out
     }
 
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
+    /// 1k → 1M, a decade per step.
+    fn full() -> MegaGrid {
+        MegaGrid {
+            counts: vec![1_000, 10_000, 100_000, 1_000_000],
+            servers: vec![ServerKind::Filer, ServerKind::Knfsd],
+            quick: false,
         }
-        std::fs::write(path, self.to_csv())
     }
 
-    /// Renders an ASCII table plus per-server knees.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
+    fn set_option(grid: &mut MegaGrid, _: &str, value: &str) -> Result<(), String> {
+        grid.counts = parse_counts(value)?;
+        Ok(())
+    }
+
+    fn title(grid: &MegaGrid) -> String {
+        format!(
+            "megafleet sweep: {{{}}} flyweights + 4 faithful through a two-tier fabric",
+            grid.counts
+                .iter()
+                .map(|c| c.to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
+        )
+    }
+
+    /// One cell per `(server, count)` pair.
+    fn cells(grid: &MegaGrid) -> Vec<runner::Cell<MegaCell>> {
+        let quick = grid.quick;
+        let mut cells = Vec::new();
+        for &server in &grid.servers {
+            for &flyweights in &grid.counts {
+                cells.push(runner::Cell::new(
+                    format!("{}/{}/f{}", Self::NAME, server.label(), flyweights),
+                    move || {
+                        let bytes = bytes_for_count(flyweights, quick);
+                        let run = run_megafleet(&MegaConfig::new(server, flyweights, bytes));
+                        MegaCell {
+                            server,
+                            flyweights,
+                            faithful: run.faithful,
+                            aggregate_mbps: run.aggregate_mbps,
+                            fly_mean_mbps: run.fly_mbps.iter().sum::<f64>()
+                                / run.fly_mbps.len().max(1) as f64,
+                            fly_jain: jain_index(&run.fly_mbps),
+                            faithful_mean_mbps: run.faithful_mbps.iter().sum::<f64>()
+                                / run.faithful_mbps.len().max(1) as f64,
+                            faithful_jain: jain_index(&run.faithful_mbps),
+                            fly_rpc_p99_ms: run.fly_rpc_p99_ms,
+                            faithful_svc_p99_ms: run.faithful_svc_p99_ms,
+                            bytes_per_client: run.bytes_per_client,
+                        }
+                    },
+                ));
+            }
+        }
+        cells
+    }
+
+    fn assemble(_: &MegaGrid, runs: Vec<MegaCell>) -> Vec<MegaCell> {
+        runs
+    }
+
+    /// Every column is a simulated result; the host engine's event count
+    /// is reported by `nfsperf bench`, not here. `at_knee` marks each
+    /// curve's knee row.
+    fn header() -> &'static str {
+        "server,flyweights,faithful,aggregate_mbps,fly_mean_mbps,fly_jain,faithful_mean_mbps,faithful_jain,fly_rpc_p99_ms,faithful_svc_p99_ms,bytes_per_client,at_knee"
+    }
+
+    fn csv_row(rows: &[MegaCell], r: &MegaCell) -> String {
+        let at_knee = knee(rows, r.server) == Some(r.flyweights);
+        format!(
+            "{},{},{},{:.3},{:.6},{:.4},{:.3},{:.4},{:.3},{:.3},{},{}",
+            r.server.label(),
+            r.flyweights,
+            r.faithful,
+            r.aggregate_mbps,
+            r.fly_mean_mbps,
+            r.fly_jain,
+            r.faithful_mean_mbps,
+            r.faithful_jain,
+            r.fly_rpc_p99_ms,
+            r.faithful_svc_p99_ms,
+            r.bytes_per_client,
+            if at_knee { "yes" } else { "" },
+        )
+    }
+
+    /// An ASCII table plus per-server knees.
+    fn render(rows: &[MegaCell]) -> String {
+        let table: Vec<Vec<String>> = rows
             .iter()
             .map(|r| {
                 vec![
@@ -425,16 +463,10 @@ impl MegaSweep {
                 "svc p99 ms",
                 "B/client",
             ],
-            &rows,
+            &table,
         );
-        let mut servers: Vec<ServerKind> = Vec::new();
-        for r in &self.rows {
-            if !servers.contains(&r.server) {
-                servers.push(r.server);
-            }
-        }
-        for server in servers {
-            match self.knee(server) {
+        for server in distinct(rows, |r| r.server) {
+            match knee(rows, server) {
                 Some(knee) => out.push_str(&format!(
                     "{}: saturates at {} flyweight(s)\n",
                     server.label(),
@@ -448,11 +480,26 @@ impl MegaSweep {
         }
         out
     }
+
+    /// Every cell moves bytes, keeps the faithful tier fair (Jain ≥ 0.9)
+    /// and holds the flyweight memory budget (≤ 256 B per client). The
+    /// budget holds at quick byte counts only: the full sweep's 1k cell
+    /// measures 590 B per client.
+    fn check_quick(rows: &[MegaCell]) -> Result<(), String> {
+        nonempty(rows)?;
+        for r in rows {
+            law(r.aggregate_mbps > 0.0, "zero aggregate throughput", r)?;
+            law(r.faithful_jain >= 0.9, "unfair faithful tier", r)?;
+            law(r.bytes_per_client <= 256, "flyweight over 256 B/client", r)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run, to_csv};
 
     #[test]
     fn small_megafleet_completes_and_accounts_both_tiers() {
@@ -547,25 +594,41 @@ mod tests {
         );
     }
 
+    fn grid(counts: &[u32]) -> MegaGrid {
+        MegaGrid {
+            counts: counts.to_vec(),
+            servers: vec![ServerKind::Filer],
+            quick: true,
+        }
+    }
+
     /// The sweep CSV is byte-identical no matter how many worker
     /// threads ran the cells.
     #[test]
     fn sweep_csv_is_identical_across_jobs() {
-        let serial = megafleet_sweep(&[16, 48], &[ServerKind::Filer], true, 1);
-        let parallel = megafleet_sweep(&[16, 48], &[ServerKind::Filer], true, 4);
-        assert_eq!(serial.to_csv(), parallel.to_csv());
+        let csv = |jobs| to_csv::<MegaSweep>(&run::<MegaSweep>(&grid(&[16, 48]), jobs));
+        assert_eq!(csv(1), csv(4));
     }
 
     #[test]
     fn sweep_csv_has_knee_and_memory_columns() {
-        let sweep = megafleet_sweep(&[16, 64], &[ServerKind::Filer], true, 1);
-        assert_eq!(sweep.rows.len(), 2);
-        let csv = sweep.to_csv();
+        let rows = run::<MegaSweep>(&grid(&[16, 64]), 1);
+        assert_eq!(rows.len(), 2);
+        let csv = to_csv::<MegaSweep>(&rows);
         assert!(csv.starts_with("server,flyweights,faithful,aggregate_mbps"));
         assert!(csv.contains("at_knee"));
         assert!(csv.contains("bytes_per_client"));
         assert_eq!(csv.lines().count(), 3);
-        let rendered = sweep.render();
+        let rendered = MegaSweep::render(&rows);
         assert!(rendered.contains("netapp-filer"));
+    }
+
+    #[test]
+    fn counts_must_be_positive_and_strictly_increasing() {
+        assert_eq!(parse_counts("1000, 10000"), Ok(vec![1_000, 10_000]));
+        assert_eq!(parse_counts("500"), Ok(vec![500]));
+        for bad in ["", "0,10", "1000,x", "10000,1000", "1000,1000"] {
+            assert!(parse_counts(bad).is_err(), "{bad:?} accepted");
+        }
     }
 }

@@ -45,6 +45,7 @@ use crate::arrivals::{OpenLoop, TrafficMix};
 use crate::fleet::jain_index;
 use crate::render::ascii_table;
 use crate::scenario::ServerKind;
+use crate::sweep::{law, nonempty, Sweep};
 
 /// Aggressor frame payload: an 8 KB blast, fragmented on the wire like a
 /// full-size NFS WRITE.
@@ -380,17 +381,6 @@ pub struct NetQosCell {
     pub qdelay_ratio: f64,
 }
 
-/// The full netqos sweep.
-#[derive(Debug, Clone)]
-pub struct NetQosSweep {
-    /// All cells, in (server, sched, mix) order.
-    pub rows: Vec<NetQosCell>,
-    /// Victim count per cell.
-    pub victims: usize,
-    /// Bytes each victim wrote.
-    pub bytes_per_victim: u64,
-}
-
 /// Folds an aggressor run and its baseline into one sweep row.
 fn netqos_row(config: &NetQosConfig, base: &NetQosRun, run: &NetQosRun) -> NetQosCell {
     let n = run.victim_mbps.len() as f64;
@@ -418,137 +408,148 @@ fn netqos_row(config: &NetQosConfig, base: &NetQosRun, run: &NetQosRun) -> NetQo
     }
 }
 
-/// Builds the phased work-list: per `(server, sched)` one aggressor-free
-/// baseline cell (the baseline is mix-independent) plus one cell per mix.
-/// Results pair back up in [`assemble_netqos_rows`].
-pub fn netqos_run_cells(
-    servers: &[ServerKind],
-    scheds: &[NetSched],
-    mixes: &[TrafficMix],
-    victims: usize,
-    bytes_per_victim: u64,
-) -> Vec<runner::Cell<NetQosRun>> {
-    let mut cells = Vec::new();
-    for &server in servers {
-        for &sched in scheds {
-            let base = NetQosConfig::new(server, sched, TrafficMix::Hog, victims, bytes_per_victim)
-                .baseline();
-            cells.push(runner::Cell::new(
-                format!("netqos/{}/{}/baseline", server.label(), sched.label()),
-                move || run_netqos(&base),
-            ));
-            for &mix in mixes {
-                let config = NetQosConfig::new(server, sched, mix, victims, bytes_per_victim);
-                cells.push(runner::Cell::new(
-                    format!(
-                        "netqos/{}/{}/{}",
-                        server.label(),
-                        sched.label(),
-                        mix.label()
-                    ),
-                    move || run_netqos(&config),
-                ));
-            }
+/// The network-QoS sweep: servers × port schedulers × aggressor mixes.
+pub struct NetQosSweep;
+
+/// Inputs of one [`NetQosSweep`] run.
+#[derive(Debug, Clone)]
+pub struct NetQosGrid {
+    /// Servers under test.
+    pub servers: Vec<ServerKind>,
+    /// Uplink port schedulers.
+    pub scheds: Vec<NetSched>,
+    /// Aggressor mixes.
+    pub mixes: Vec<TrafficMix>,
+    /// Victim count per cell.
+    pub victims: usize,
+    /// Sequential bytes each victim writes.
+    pub bytes_per_victim: u64,
+}
+
+impl Sweep for NetQosSweep {
+    const NAME: &'static str = "netqos";
+    const OPTIONS: &'static [&'static str] = &["--port-sched"];
+    type Config = NetQosGrid;
+    type Run = NetQosRun;
+    type Row = NetQosCell;
+
+    fn quick() -> NetQosGrid {
+        NetQosGrid {
+            servers: vec![ServerKind::Knfsd],
+            bytes_per_victim: 1 << 20,
+            ..Self::full()
         }
     }
-    cells
-}
 
-/// Pairs the phased results (work-list order: baseline then one run per
-/// mix, per `(server, sched)`) back into sweep rows.
-pub fn assemble_netqos_rows(
-    servers: &[ServerKind],
-    scheds: &[NetSched],
-    mixes: &[TrafficMix],
-    victims: usize,
-    bytes_per_victim: u64,
-    runs: Vec<NetQosRun>,
-) -> Vec<NetQosCell> {
-    assert_eq!(
-        runs.len(),
-        servers.len() * scheds.len() * (mixes.len() + 1),
-        "one baseline + one run per mix, per (server, sched)"
-    );
-    let mut it = runs.into_iter();
-    let mut rows = Vec::new();
-    for &server in servers {
-        for &sched in scheds {
-            let base = it.next().expect("baseline run");
-            for &mix in mixes {
-                let run = it.next().expect("mix run");
-                let config = NetQosConfig::new(server, sched, mix, victims, bytes_per_victim);
-                rows.push(netqos_row(&config, &base, &run));
-            }
+    fn full() -> NetQosGrid {
+        NetQosGrid {
+            servers: vec![ServerKind::Filer, ServerKind::Knfsd],
+            scheds: NetSched::ALL.to_vec(),
+            mixes: TrafficMix::ALL.to_vec(),
+            victims: 7,
+            bytes_per_victim: 2 << 20,
         }
     }
-    rows
-}
 
-/// Runs the sweep on up to `jobs` worker threads. Cells are independent
-/// deterministic worlds — rows (and the CSV) are bit-identical at any
-/// `jobs` value.
-pub fn netqos_sweep(
-    servers: &[ServerKind],
-    scheds: &[NetSched],
-    mixes: &[TrafficMix],
-    victims: usize,
-    bytes_per_victim: u64,
-    jobs: usize,
-) -> NetQosSweep {
-    let runs = runner::run_cells(
-        jobs,
-        netqos_run_cells(servers, scheds, mixes, victims, bytes_per_victim),
-    );
-    NetQosSweep {
-        rows: assemble_netqos_rows(servers, scheds, mixes, victims, bytes_per_victim, runs),
-        victims,
-        bytes_per_victim,
+    /// `--port-sched P` restricts the sweep to one policy.
+    fn set_option(grid: &mut NetQosGrid, _: &str, value: &str) -> Result<(), String> {
+        let sched = NetSched::parse(value).ok_or_else(|| {
+            format!("unknown --port-sched {value} (port-fifo | port-drr | port-wrr)")
+        })?;
+        grid.scheds = vec![sched];
+        Ok(())
     }
-}
 
-impl NetQosSweep {
-    /// The sweep as CSV (also what [`NetQosSweep::write_csv`] writes).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "server,sched,mix,victims,aggressors,victim_mean_mbps,base_victim_mbps,\
-             victim_min_mbps,aggressor_mbps,jain_all,victim_jain,qdelay_p99_ms,\
-             base_qdelay_p99_ms,qdelay_ratio\n",
+    fn title(grid: &NetQosGrid) -> String {
+        format!(
+            "netqos sweep: open-loop {{hog, incast, storm}} aggressors vs {} victims, \
+             {} MB per victim",
+            grid.victims,
+            grid.bytes_per_victim >> 20
+        )
+    }
+
+    /// The phased work-list: per `(server, sched)` one aggressor-free
+    /// baseline cell (the baseline is mix-independent) plus one cell per
+    /// mix.
+    fn cells(grid: &NetQosGrid) -> Vec<runner::Cell<NetQosRun>> {
+        let cell_config = |server, sched, mix| {
+            NetQosConfig::new(server, sched, mix, grid.victims, grid.bytes_per_victim)
+        };
+        let mut cells = Vec::new();
+        for &server in &grid.servers {
+            for &sched in &grid.scheds {
+                let label = format!("{}/{}/{}", Self::NAME, server.label(), sched.label());
+                let base = cell_config(server, sched, TrafficMix::Hog).baseline();
+                cells.push(runner::Cell::new(format!("{label}/baseline"), move || {
+                    run_netqos(&base)
+                }));
+                for &mix in &grid.mixes {
+                    let config = cell_config(server, sched, mix);
+                    cells.push(runner::Cell::new(
+                        format!("{label}/{}", mix.label()),
+                        move || run_netqos(&config),
+                    ));
+                }
+            }
+        }
+        cells
+    }
+
+    /// Pairs the phased results (baseline then one run per mix, per
+    /// `(server, sched)`) back into rows.
+    fn assemble(grid: &NetQosGrid, runs: Vec<NetQosRun>) -> Vec<NetQosCell> {
+        assert_eq!(
+            runs.len(),
+            grid.servers.len() * grid.scheds.len() * (grid.mixes.len() + 1),
+            "one baseline + one run per mix, per (server, sched)"
         );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{:.4},{:.4},{:.3},{:.3},{:.2}\n",
-                r.server.label(),
-                r.sched.label(),
-                r.mix.label(),
-                r.victims,
-                r.aggressors,
-                r.victim_mean_mbps,
-                r.base_victim_mbps,
-                r.victim_min_mbps,
-                r.aggressor_mbps,
-                r.jain_all,
-                r.victim_jain,
-                r.qdelay_p99_ms,
-                r.base_qdelay_p99_ms,
-                r.qdelay_ratio,
-            ));
+        let mut it = runs.into_iter();
+        let mut rows = Vec::new();
+        for &server in &grid.servers {
+            for &sched in &grid.scheds {
+                let base = it.next().expect("baseline run");
+                for &mix in &grid.mixes {
+                    let run = it.next().expect("mix run");
+                    let config =
+                        NetQosConfig::new(server, sched, mix, grid.victims, grid.bytes_per_victim);
+                    rows.push(netqos_row(&config, &base, &run));
+                }
+            }
         }
-        out
+        rows
     }
 
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
+    fn header() -> &'static str {
+        "server,sched,mix,victims,aggressors,victim_mean_mbps,base_victim_mbps,\
+         victim_min_mbps,aggressor_mbps,jain_all,victim_jain,qdelay_p99_ms,\
+         base_qdelay_p99_ms,qdelay_ratio"
     }
 
-    /// Renders an ASCII table plus a per-(server, mix) verdict comparing
-    /// each fair policy against port-fifo.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
+    fn csv_row(_: &[NetQosCell], r: &NetQosCell) -> String {
+        format!(
+            "{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{:.4},{:.4},{:.3},{:.3},{:.2}",
+            r.server.label(),
+            r.sched.label(),
+            r.mix.label(),
+            r.victims,
+            r.aggressors,
+            r.victim_mean_mbps,
+            r.base_victim_mbps,
+            r.victim_min_mbps,
+            r.aggressor_mbps,
+            r.jain_all,
+            r.victim_jain,
+            r.qdelay_p99_ms,
+            r.base_qdelay_p99_ms,
+            r.qdelay_ratio,
+        )
+    }
+
+    /// An ASCII table plus a per-(server, mix) verdict comparing each
+    /// fair policy against port-fifo.
+    fn render(rows: &[NetQosCell]) -> String {
+        let table: Vec<Vec<String>> = rows
             .iter()
             .map(|r| {
                 vec![
@@ -578,13 +579,13 @@ impl NetQosSweep {
                 "qdelay p99 ms",
                 "vs base",
             ],
-            &rows,
+            &table,
         );
-        for r in &self.rows {
+        for r in rows {
             if r.sched == NetSched::Fifo {
                 continue;
             }
-            let fifo = self.rows.iter().find(|f| {
+            let fifo = rows.iter().find(|f| {
                 f.server == r.server && f.mix == r.mix && f.sched == NetSched::Fifo
             });
             if let Some(fifo) = fifo {
@@ -606,6 +607,31 @@ impl NetQosSweep {
             }
         }
         out
+    }
+
+    /// The port scheduler, not the server, decides who wins the uplink:
+    /// port-fifo must let the incast mix collapse fairness among the
+    /// victims (Jain < 0.6) while every fair policy holds it at ≥ 0.9,
+    /// and every cell still moves victim bytes.
+    fn check_quick(rows: &[NetQosCell]) -> Result<(), String> {
+        nonempty(rows)?;
+        for r in rows {
+            if r.sched == NetSched::Fifo {
+                if r.mix == TrafficMix::Incast {
+                    law(r.victim_jain < 0.6, "port-fifo spared meek victims", r)?;
+                }
+            } else {
+                law(r.victim_jain >= 0.9, "unfair victims under a fair policy", r)?;
+            }
+            law(r.victim_mean_mbps > 0.0, "zero victim throughput", r)?;
+        }
+        if !rows
+            .iter()
+            .any(|r| r.sched == NetSched::Fifo && r.mix == TrafficMix::Incast)
+        {
+            return Err("netqos sweep missing the port-fifo incast cell".into());
+        }
+        Ok(())
     }
 }
 

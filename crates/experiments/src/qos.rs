@@ -29,6 +29,7 @@ use nfsperf_sunrpc::Transport;
 use crate::fleet::jain_index;
 use crate::render::ascii_table;
 use crate::scenario::ServerKind;
+use crate::sweep::{law, nonempty, Sweep};
 
 /// One unfair-workload measurement's parameters.
 #[derive(Debug, Clone)]
@@ -287,17 +288,6 @@ pub struct QosCell {
     pub p99_ratio: f64,
 }
 
-/// The full unfair-workload sweep.
-#[derive(Debug, Clone)]
-pub struct QosSweep {
-    /// All cells, in (server, sched) order.
-    pub rows: Vec<QosCell>,
-    /// Victim count per cell.
-    pub victims: usize,
-    /// Bytes each victim wrote.
-    pub bytes_per_victim: u64,
-}
-
 /// Folds a hog run and its hog-free baseline into one sweep row.
 fn qos_row(
     server: ServerKind,
@@ -328,121 +318,127 @@ fn qos_row(
     }
 }
 
-/// Builds the *phased* work-list: every `(server, sched)` pair
-/// contributes two independent cells — the hog-free baseline world and
-/// the hog world — so a pool of workers always has twice as many units
-/// to pull from. Results pair back up in [`assemble_qos_rows`].
-pub fn qos_run_cells(
-    servers: &[ServerKind],
-    scheds: &[SchedPolicy],
-    victims: usize,
-    bytes_per_victim: u64,
-) -> Vec<runner::Cell<QosRun>> {
-    let mut cells = Vec::new();
-    for &server in servers {
-        for &sched in scheds {
-            let config = QosConfig::new(server, sched, victims, bytes_per_victim);
-            let base = config.baseline();
-            cells.push(runner::Cell::new(
-                format!("qos/{}/{}/baseline", server.label(), sched.label()),
-                move || run_qos(&base),
-            ));
-            cells.push(runner::Cell::new(
-                format!("qos/{}/{}/hog", server.label(), sched.label()),
-                move || run_qos(&config),
-            ));
+/// The unfair-workload sweep: servers × scheduling policies, each cell
+/// a hog run paired with its hog-free baseline.
+pub struct QosSweep;
+
+/// Inputs of one [`QosSweep`] run.
+#[derive(Debug, Clone)]
+pub struct QosGrid {
+    /// Servers under test.
+    pub servers: Vec<ServerKind>,
+    /// Server scheduling policies.
+    pub scheds: Vec<SchedPolicy>,
+    /// Victim count per cell.
+    pub victims: usize,
+    /// Sequential bytes each victim writes.
+    pub bytes_per_victim: u64,
+}
+
+impl Sweep for QosSweep {
+    const NAME: &'static str = "qos";
+    type Config = QosGrid;
+    type Run = QosRun;
+    type Row = QosCell;
+
+    fn quick() -> QosGrid {
+        QosGrid {
+            servers: vec![ServerKind::Filer],
+            victims: 4,
+            bytes_per_victim: 1 << 20,
+            ..Self::full()
         }
     }
-    cells
-}
 
-/// Pairs the phased results (work-list order: baseline then hog per
-/// `(server, sched)`) back into sweep rows, one per pair.
-pub fn assemble_qos_rows(
-    servers: &[ServerKind],
-    scheds: &[SchedPolicy],
-    victims: usize,
-    runs: Vec<QosRun>,
-) -> Vec<QosCell> {
-    assert_eq!(
-        runs.len(),
-        servers.len() * scheds.len() * 2,
-        "one baseline + one hog run per (server, sched)"
-    );
-    let mut it = runs.into_iter();
-    let mut rows = Vec::with_capacity(servers.len() * scheds.len());
-    for &server in servers {
-        for &sched in scheds {
-            let base = it.next().expect("baseline run");
-            let run = it.next().expect("hog run");
-            rows.push(qos_row(server, sched, victims, &base, &run));
+    fn full() -> QosGrid {
+        QosGrid {
+            servers: vec![ServerKind::Filer, ServerKind::Knfsd],
+            scheds: vec![
+                SchedPolicy::Fifo,
+                SchedPolicy::drr(),
+                SchedPolicy::classed_drr(),
+            ],
+            victims: 7,
+            bytes_per_victim: 2 << 20,
         }
     }
-    rows
-}
 
-/// Runs the sweep on up to `jobs` worker threads: for every server ×
-/// policy, one hog run and one hog-free baseline, phased as separate
-/// cells so the pool always has work. Cells are independent worlds,
-/// deterministic for a given input — rows (and the CSV) are
-/// bit-identical at any `jobs` value.
-pub fn qos_sweep(
-    servers: &[ServerKind],
-    scheds: &[SchedPolicy],
-    victims: usize,
-    bytes_per_victim: u64,
-    jobs: usize,
-) -> QosSweep {
-    let runs = runner::run_cells(
-        jobs,
-        qos_run_cells(servers, scheds, victims, bytes_per_victim),
-    );
-    QosSweep {
-        rows: assemble_qos_rows(servers, scheds, victims, runs),
-        victims,
-        bytes_per_victim,
+    fn title(grid: &QosGrid) -> String {
+        format!(
+            "qos sweep: 1 hog (gigabit NIC, 64 slots, 32 KB writes, periodic fsync) \
+             vs {} victims, {} MB per victim",
+            grid.victims,
+            grid.bytes_per_victim >> 20
+        )
     }
-}
 
-impl QosSweep {
-    /// The sweep as CSV (also what [`QosSweep::write_csv`] writes).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "server,sched,victims,victim_mean_mbps,victim_min_mbps,hog_mbps,\
-             jain_all,victim_jain,victim_p99_ms,baseline_p99_ms,p99_ratio\n",
+    /// The *phased* work-list: every `(server, sched)` pair contributes
+    /// two independent cells — the hog-free baseline world and the hog
+    /// world — so a pool of workers always has twice as many units to
+    /// pull from.
+    fn cells(grid: &QosGrid) -> Vec<runner::Cell<QosRun>> {
+        let mut cells = Vec::new();
+        for &server in &grid.servers {
+            for &sched in &grid.scheds {
+                let config = QosConfig::new(server, sched, grid.victims, grid.bytes_per_victim);
+                let base = config.baseline();
+                let label = format!("{}/{}/{}", Self::NAME, server.label(), sched.label());
+                cells.push(runner::Cell::new(format!("{label}/baseline"), move || {
+                    run_qos(&base)
+                }));
+                cells.push(runner::Cell::new(format!("{label}/hog"), move || {
+                    run_qos(&config)
+                }));
+            }
+        }
+        cells
+    }
+
+    /// Pairs the phased results (baseline then hog per `(server, sched)`)
+    /// back into one row per pair.
+    fn assemble(grid: &QosGrid, runs: Vec<QosRun>) -> Vec<QosCell> {
+        assert_eq!(
+            runs.len(),
+            grid.servers.len() * grid.scheds.len() * 2,
+            "one baseline + one hog run per (server, sched)"
         );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{:.3},{:.3},{:.3},{:.4},{:.4},{:.3},{:.3},{:.2}\n",
-                r.server.label(),
-                r.sched.label(),
-                r.victims,
-                r.victim_mean_mbps,
-                r.victim_min_mbps,
-                r.hog_mbps,
-                r.jain_all,
-                r.victim_jain,
-                r.victim_p99_ms,
-                r.baseline_p99_ms,
-                r.p99_ratio,
-            ));
+        let mut it = runs.into_iter();
+        let mut rows = Vec::with_capacity(grid.servers.len() * grid.scheds.len());
+        for &server in &grid.servers {
+            for &sched in &grid.scheds {
+                let base = it.next().expect("baseline run");
+                let run = it.next().expect("hog run");
+                rows.push(qos_row(server, sched, grid.victims, &base, &run));
+            }
         }
-        out
+        rows
     }
 
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
+    fn header() -> &'static str {
+        "server,sched,victims,victim_mean_mbps,victim_min_mbps,hog_mbps,\
+         jain_all,victim_jain,victim_p99_ms,baseline_p99_ms,p99_ratio"
     }
 
-    /// Renders an ASCII table plus a starvation/mitigation verdict per
-    /// server.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
+    fn csv_row(_: &[QosCell], r: &QosCell) -> String {
+        format!(
+            "{},{},{},{:.3},{:.3},{:.3},{:.4},{:.4},{:.3},{:.3},{:.2}",
+            r.server.label(),
+            r.sched.label(),
+            r.victims,
+            r.victim_mean_mbps,
+            r.victim_min_mbps,
+            r.hog_mbps,
+            r.jain_all,
+            r.victim_jain,
+            r.victim_p99_ms,
+            r.baseline_p99_ms,
+            r.p99_ratio,
+        )
+    }
+
+    /// An ASCII table plus a starvation/mitigation verdict per server.
+    fn render(rows: &[QosCell]) -> String {
+        let table: Vec<Vec<String>> = rows
             .iter()
             .map(|r| {
                 vec![
@@ -468,14 +464,13 @@ impl QosSweep {
                 "victim p99 ms",
                 "p99 vs base",
             ],
-            &rows,
+            &table,
         );
-        for r in &self.rows {
+        for r in rows {
             if r.sched == SchedPolicy::Fifo {
                 continue;
             }
-            let fifo = self
-                .rows
+            let fifo = rows
                 .iter()
                 .find(|f| f.server == r.server && f.sched == SchedPolicy::Fifo);
             if let Some(fifo) = fifo {
@@ -493,5 +488,19 @@ impl QosSweep {
             }
         }
         out
+    }
+
+    /// FIFO lets the hog starve the victims (Jain over all clients
+    /// < 0.6); every fair policy restores it (≥ 0.95).
+    fn check_quick(rows: &[QosCell]) -> Result<(), String> {
+        nonempty(rows)?;
+        for r in rows {
+            if r.sched == SchedPolicy::Fifo {
+                law(r.jain_all < 0.6, "no starvation under fifo", r)?;
+            } else {
+                law(r.jain_all >= 0.95, "unfair under a fair policy", r)?;
+            }
+        }
+        Ok(())
     }
 }

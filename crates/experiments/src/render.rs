@@ -39,7 +39,7 @@ impl Series {
 
 /// A figure: several series over a common x axis.
 #[derive(Debug, Clone, Default)]
-pub struct Sweep {
+pub struct Figure {
     /// The series, in legend order.
     pub series: Vec<Series>,
     /// Label of the x axis.
@@ -48,8 +48,8 @@ pub struct Sweep {
     pub y_label: String,
 }
 
-impl Sweep {
-    /// Renders the sweep as CSV: `x, <series 1>, <series 2>, ...`.
+impl Figure {
+    /// Renders the figure as CSV: `x, <series 1>, <series 2>, ...`.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = write!(out, "{}", csv_escape(&self.x_label));
@@ -203,8 +203,8 @@ pub fn write_rows_csv(path: &Path, headers: &[&str], rows: &[Vec<String>]) -> io
 mod tests {
     use super::*;
 
-    fn sweep() -> Sweep {
-        Sweep {
+    fn figure() -> Figure {
+        Figure {
             series: vec![
                 Series::new("a", vec![(1.0, 10.0), (2.0, 20.0)]),
                 Series::new("b", vec![(1.0, 5.0), (3.0, 15.0)]),
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn csv_includes_all_xs_and_gaps() {
-        let csv = sweep().to_csv();
+        let csv = figure().to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "x,a,b");
         assert_eq!(lines[1], "1,10.000,5.000");
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn ascii_plot_renders() {
-        let plot = sweep().ascii_plot(20, 5);
+        let plot = figure().ascii_plot(20, 5);
         assert!(plot.contains('*'));
         assert!(plot.contains("a"));
         assert!(plot.contains("+--------------------"));
@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn ascii_plot_empty() {
-        let empty = Sweep::default();
+        let empty = Figure::default();
         assert_eq!(empty.ascii_plot(10, 5), "(empty plot)\n");
     }
 
@@ -270,7 +270,7 @@ mod tests {
     fn write_files() {
         let dir = std::env::temp_dir().join("nfsperf-render-test");
         let p = dir.join("t.csv");
-        sweep().write_csv(&p).unwrap();
+        figure().write_csv(&p).unwrap();
         let body = std::fs::read_to_string(&p).unwrap();
         assert!(body.starts_with("x,a,b"));
         write_rows_csv(&p, &["h"], &[vec!["1".into()]]).unwrap();

@@ -19,10 +19,7 @@ use nfsperf_sunrpc::Transport;
 
 use crate::render::ascii_table;
 use crate::scenario::{run_bonnie, RunOutput, Scenario, ServerKind};
-
-/// Loss rates swept by [`transport_sweep`]'s callers: clean link, one in a
-/// thousand, one in a hundred, one in twenty.
-pub const LOSS_RATES: &[f64] = &[0.0, 0.001, 0.01, 0.05];
+use crate::sweep::{law, nonempty, Sweep};
 
 /// One (mount flavour, loss rate) cell of the sweep.
 #[derive(Debug, Clone)]
@@ -44,15 +41,6 @@ pub struct TransportRow {
     pub tcp_retransmits: u64,
     /// TCP fast retransmits out of those (triple duplicate ACK).
     pub tcp_fast_retransmits: u64,
-}
-
-/// The full sweep: one row per mount flavour per loss rate.
-#[derive(Debug, Clone)]
-pub struct TransportSweep {
-    /// Rows grouped by flavour, loss ascending within each.
-    pub rows: Vec<TransportRow>,
-    /// Bytes written per run.
-    pub file_size: u64,
 }
 
 /// The three mount flavours compared.
@@ -83,47 +71,91 @@ fn row(label: &'static str, loss: f64, out: &RunOutput) -> TransportRow {
     }
 }
 
-/// Builds the matrix's work-list: one [`runner::Cell`] per
-/// `(flavour, loss)` pair, flavour-major like the rendered table.
-pub fn transport_cells(file_size: u64, loss_rates: &[f64]) -> Vec<runner::Cell<TransportRow>> {
-    let mut cells = Vec::new();
-    for (label, scenario) in flavours() {
-        for &loss in loss_rates {
-            let scenario = scenario.clone();
-            cells.push(runner::Cell::new(
-                format!("transport/{label}/loss{loss}"),
-                move || {
-                    let out = run_bonnie(&scenario.with_loss(loss), file_size);
-                    row(label, loss, &out)
-                },
-            ));
+/// The transport × loss matrix.
+pub struct TransportSweep;
+
+/// Inputs of one [`TransportSweep`] run.
+#[derive(Debug, Clone)]
+pub struct TransportGrid {
+    /// Bytes written (then flushed) per cell.
+    pub file_size: u64,
+    /// Client-side datagram loss probabilities.
+    pub loss_rates: Vec<f64>,
+}
+
+impl Sweep for TransportSweep {
+    const NAME: &'static str = "transport";
+    type Config = TransportGrid;
+    type Run = TransportRow;
+    type Row = TransportRow;
+
+    fn quick() -> TransportGrid {
+        TransportGrid {
+            file_size: 2 << 20,
+            ..Self::full()
         }
     }
-    cells
-}
 
-/// Runs the matrix on up to `jobs` worker threads: each flavour at each
-/// loss rate, writing `file_size` bytes then flushing. Deterministic for
-/// a fixed scenario seed at any `jobs` value.
-pub fn transport_sweep(file_size: u64, loss_rates: &[f64], jobs: usize) -> TransportSweep {
-    TransportSweep {
-        rows: runner::run_cells(jobs, transport_cells(file_size, loss_rates)),
-        file_size,
-    }
-}
-
-impl TransportSweep {
-    /// The row for a given flavour and loss rate, if present.
-    pub fn cell(&self, label: &str, loss: f64) -> Option<&TransportRow> {
-        self.rows
-            .iter()
-            .find(|r| r.label == label && r.loss == loss)
+    /// Clean link, one in a thousand, one in a hundred, one in twenty.
+    fn full() -> TransportGrid {
+        TransportGrid {
+            file_size: 8 << 20,
+            loss_rates: vec![0.0, 0.001, 0.01, 0.05],
+        }
     }
 
-    /// Renders the matrix as an ASCII table.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
+    fn title(grid: &TransportGrid) -> String {
+        format!(
+            "transport x loss sweep: {} MB sequential write, full patch, filer server",
+            grid.file_size >> 20
+        )
+    }
+
+    /// One cell per `(flavour, loss)` pair, flavour-major like the
+    /// rendered table.
+    fn cells(grid: &TransportGrid) -> Vec<runner::Cell<TransportRow>> {
+        let file_size = grid.file_size;
+        let mut cells = Vec::new();
+        for (label, scenario) in flavours() {
+            for &loss in &grid.loss_rates {
+                let scenario = scenario.clone();
+                cells.push(runner::Cell::new(
+                    format!("{}/{label}/loss{loss}", Self::NAME),
+                    move || {
+                        let out = run_bonnie(&scenario.with_loss(loss), file_size);
+                        row(label, loss, &out)
+                    },
+                ));
+            }
+        }
+        cells
+    }
+
+    fn assemble(_: &TransportGrid, runs: Vec<TransportRow>) -> Vec<TransportRow> {
+        runs
+    }
+
+    fn header() -> &'static str {
+        "transport,loss,write_mbps,flush_mbps,drops,rpc_retransmits,tcp_retransmits,tcp_fast_retransmits"
+    }
+
+    fn csv_row(_: &[TransportRow], r: &TransportRow) -> String {
+        format!(
+            "{},{},{:.3},{:.3},{},{},{},{}",
+            r.label,
+            r.loss,
+            r.write_mbps,
+            r.flush_mbps,
+            r.drops,
+            r.rpc_retransmits,
+            r.tcp_retransmits,
+            r.tcp_fast_retransmits,
+        )
+    }
+
+    /// The matrix as an ASCII table.
+    fn render(rows: &[TransportRow]) -> String {
+        let table: Vec<Vec<String>> = rows
             .iter()
             .map(|r| {
                 vec![
@@ -149,22 +181,48 @@ impl TransportSweep {
                 "tcp rexmit",
                 "fast rexmit",
             ],
-            &rows,
+            &table,
         )
+    }
+
+    /// Every cell moves data, and a clean link never drops or
+    /// retransmits.
+    fn check_quick(rows: &[TransportRow]) -> Result<(), String> {
+        nonempty(rows)?;
+        for r in rows {
+            law(r.flush_mbps > 0.0, "zero flush throughput", r)?;
+            law(
+                r.loss > 0.0 || r.drops + r.rpc_retransmits + r.tcp_retransmits == 0,
+                "clean link dropped or retransmitted",
+                r,
+            )?;
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::run;
+
+    fn grid(loss_rates: &[f64]) -> TransportGrid {
+        TransportGrid {
+            file_size: 1 << 20,
+            loss_rates: loss_rates.to_vec(),
+        }
+    }
 
     #[test]
     fn sweep_covers_the_matrix() {
-        let sweep = transport_sweep(1 << 20, &[0.0, 0.01], 1);
-        assert_eq!(sweep.rows.len(), 6);
+        let rows = run::<TransportSweep>(&grid(&[0.0, 0.01]), 1);
+        assert_eq!(rows.len(), 6);
         for label in ["udp", "udp+jumbo", "tcp"] {
             for loss in [0.0, 0.01] {
-                let r = sweep.cell(label, loss).expect("cell present");
+                let r = rows
+                    .iter()
+                    .find(|r| r.label == label && r.loss == loss)
+                    .expect("cell present");
                 assert!(r.write_mbps > 0.0, "{label} at {loss} wrote nothing");
             }
         }
@@ -172,18 +230,18 @@ mod tests {
 
     #[test]
     fn clean_link_never_drops_or_retransmits() {
-        let sweep = transport_sweep(1 << 20, &[0.0], 1);
-        for r in &sweep.rows {
+        let rows = run::<TransportSweep>(&grid(&[0.0]), 1);
+        for r in &rows {
             assert_eq!(r.drops, 0, "{}: drops on clean link", r.label);
             assert_eq!(r.rpc_retransmits, 0, "{}: rpc rexmit", r.label);
             assert_eq!(r.tcp_retransmits, 0, "{}: tcp rexmit", r.label);
         }
+        assert_eq!(TransportSweep::check_quick(&rows), Ok(()));
     }
 
     #[test]
     fn render_mentions_every_flavour() {
-        let sweep = transport_sweep(1 << 20, &[0.0], 1);
-        let table = sweep.render();
+        let table = TransportSweep::render(&run::<TransportSweep>(&grid(&[0.0]), 1));
         assert!(table.contains("udp+jumbo"));
         assert!(table.contains("tcp"));
         assert!(table.contains("flush MB/s"));

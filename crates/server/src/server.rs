@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use nfsperf_net::{DatagramPayload, Path};
+use nfsperf_net::{pool_put, DatagramPayload, Path};
 use nfsperf_nfs3::{
     Commit3Args, Commit3Res, Create3Args, Create3Res, Getattr3Args, Getattr3Res, Lookup3Args,
     Lookup3Res, NfsProc3, NfsStat3, Read3Args, Read3Res, Setattr3Args, Setattr3Res, StableHow,
@@ -825,6 +825,7 @@ impl NfsServer {
                 Err(_) => return, // peer closed, reset, or went away
             };
             records.push(&bytes);
+            pool_put(bytes);
             while let Some(call) = records.next_record() {
                 self.serve_one(client, call, ReplySink::Tcp(Rc::clone(&conn)));
             }

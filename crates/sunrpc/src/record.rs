@@ -51,9 +51,17 @@ pub fn encode_record_frags(msg: &[u8], max_frag: usize) -> Vec<u8> {
 /// transport delivers; complete records come out of
 /// [`next_record`](RecordReader::next_record). Partial headers, partial
 /// fragments and records split across many pushes are all handled.
+///
+/// Consumed stream bytes are skipped with a cursor rather than drained
+/// per record, so a push holding many records costs one copy in, not one
+/// memmove of the tail per record. The dead prefix is dropped on the
+/// next push, when the reader is empty (free) or the prefix is the
+/// larger part of the buffer (so each byte moves at most once more).
 #[derive(Debug, Default)]
 pub struct RecordReader {
     stream: Vec<u8>,
+    /// Bytes of `stream` already consumed.
+    head: usize,
     assembled: Vec<u8>,
 }
 
@@ -65,23 +73,31 @@ impl RecordReader {
 
     /// Appends bytes received from the stream.
     pub fn push(&mut self, bytes: &[u8]) {
+        if self.head == self.stream.len() {
+            self.stream.clear();
+            self.head = 0;
+        } else if self.head > self.stream.len() - self.head {
+            self.stream.drain(..self.head);
+            self.head = 0;
+        }
         self.stream.extend_from_slice(bytes);
     }
 
     /// Extracts the next complete record, if the stream holds one.
     pub fn next_record(&mut self) -> Option<Vec<u8>> {
         loop {
-            if self.stream.len() < 4 {
+            let rest = &self.stream[self.head..];
+            if rest.len() < 4 {
                 return None;
             }
-            let header = u32::from_be_bytes(self.stream[0..4].try_into().unwrap());
+            let header = u32::from_be_bytes(rest[0..4].try_into().unwrap());
             let len = (header & !LAST_FRAGMENT) as usize;
             let last = header & LAST_FRAGMENT != 0;
-            if self.stream.len() < 4 + len {
+            if rest.len() < 4 + len {
                 return None;
             }
-            self.assembled.extend_from_slice(&self.stream[4..4 + len]);
-            self.stream.drain(..4 + len);
+            self.assembled.extend_from_slice(&rest[4..4 + len]);
+            self.head += 4 + len;
             if last {
                 return Some(std::mem::take(&mut self.assembled));
             }
@@ -90,7 +106,7 @@ impl RecordReader {
 
     /// Bytes buffered but not yet returned as a record.
     pub fn buffered(&self) -> usize {
-        self.stream.len() + self.assembled.len()
+        self.stream.len() - self.head + self.assembled.len()
     }
 }
 

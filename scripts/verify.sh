@@ -79,99 +79,25 @@ echo "$out" | awk '
     }'
 
 # Every sweep's quick CSV must be byte-identical at --jobs 4 and --jobs 1
-# (megafleet at 10k flyweights). The --jobs 4 CSV stays for the gates
-# below.
-for sweep in fleet qos megafleet cawl netqos; do
-    echo "==> $sweep smoke run (quick, --jobs 4 vs --jobs 1 bit-identical)"
+# and to its golden (megafleet at the golden's 1k and 10k flyweights).
+# The sweeps' quick-size laws (fairness, starvation, regimes, memory
+# budget) are asserted on the same grids by tests/golden.rs above.
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+for sweep in transport fleet qos megafleet cawl netqos; do
+    echo "==> $sweep smoke run (quick, --jobs 4 vs --jobs 1 vs golden)"
     args=(--quick)
-    csv="results/$sweep-quick.csv"
     if [ "$sweep" = megafleet ]; then
-        args+=(--counts 10000)
-        csv="results/megafleet-smoke.csv"
+        args+=(--counts 1000,10000)
     fi
+    csv="$scratch/$sweep.csv"
     cargo run -q --release --offline --bin nfsperf -- "$sweep" "${args[@]}" --jobs 4 --out "$csv"
     cargo run -q --release --offline --bin nfsperf -- "$sweep" "${args[@]}" --jobs 1 --out "$csv.serial" > /dev/null
     cmp "$csv" "$csv.serial" \
         || { echo "FAIL: $sweep sweep differs between --jobs 4 and --jobs 1"; exit 1; }
-    rm -f "$csv.serial"
+    cmp "$csv" "tests/golden/$sweep-quick.csv" \
+        || { echo "FAIL: $sweep quick CSV differs from tests/golden/$sweep-quick.csv"; exit 1; }
 done
-
-echo "==> fleet gate"
-# Every data row ends in a Jain index; fairness must hold even at small N.
-awk -F, 'NR > 1 {
-        rows++
-        if ($4 + 0 <= 0) { print "FAIL: zero aggregate throughput: " $0; exit 1 }
-        if ($7 + 0 < 0.9) { print "FAIL: unfair fleet (jain < 0.9): " $0; exit 1 }
-    }
-    END {
-        if (rows == 0) { print "FAIL: empty fleet-quick.csv"; exit 1 }
-    }' results/fleet-quick.csv
-
-echo "==> qos gate"
-# FIFO must show the hog starving victims; DRR rows must restore fairness.
-awk -F, 'NR > 1 {
-        rows++
-        if ($2 == "fifo" && $7 + 0 >= 0.6) { print "FAIL: no starvation under fifo: " $0; exit 1 }
-        if ($2 != "fifo" && $7 + 0 < 0.95) { print "FAIL: unfair under " $2 ": " $0; exit 1 }
-    }
-    END {
-        if (rows == 0) { print "FAIL: empty qos-quick.csv"; exit 1 }
-    }' results/qos-quick.csv
-
-echo "==> megafleet gate"
-# Every cell must move bytes, keep the faithful tier fair, and hold the
-# flyweight memory budget (column 11: resident bytes per client).
-awk -F, 'NR == 1 {
-        if ($12 != "at_knee") { print "FAIL: megafleet CSV missing at_knee column"; exit 1 }
-    }
-    NR > 1 {
-        rows++
-        if ($4 + 0 <= 0) { print "FAIL: zero aggregate throughput: " $0; exit 1 }
-        if ($8 + 0 < 0.9) { print "FAIL: unfair faithful tier (jain < 0.9): " $0; exit 1 }
-        if ($11 + 0 > 256) { print "FAIL: flyweight over 256 B/client: " $0; exit 1 }
-    }
-    END {
-        if (rows == 0) { print "FAIL: empty megafleet-smoke.csv"; exit 1 }
-    }' results/megafleet-smoke.csv
-
-echo "==> cawl gate"
-# Both regimes must appear; a file under the dirty ratio never throttles;
-# a throttled cell pins exactly at the hard limit (the knee); every cell
-# moves data.
-awk -F, '
-    NR > 1 {
-        rows++
-        if ($11 == "cache-fit") fit++
-        if ($11 == "writeback-bound") bound++
-        if ($4 + 0 == 0.5 && $7 + 0 != 0) { print "FAIL: sub-ratio cell throttled: " $0; exit 1 }
-        if ($7 + 0 > 0 && $9 != $10) { print "FAIL: throttled cell not pinned at hard limit: " $0; exit 1 }
-        if ($5 + 0 <= 0) { print "FAIL: zero app throughput: " $0; exit 1 }
-    }
-    END {
-        if (rows == 0) { print "FAIL: empty cawl-quick.csv"; exit 1 }
-        if (!fit || !bound) { print "FAIL: cawl sweep must show both regimes"; exit 1 }
-    }' results/cawl-quick.csv
-rm -f results/cawl-quick.csv
-
-echo "==> netqos gate"
-# The port scheduler, not the server, decides who wins the uplink: FIFO
-# must let the incast mix collapse fairness among the victims (column 11,
-# Jain over victims only) while any fair policy holds it at >= 0.9 and
-# every cell still moves victim bytes.
-awk -F, 'NR > 1 {
-        rows++
-        if ($2 == "port-fifo" && $3 == "incast") {
-            fifo_incast++
-            if ($11 + 0 >= 0.6) { print "FAIL: port-fifo did not starve meek victims: " $0; exit 1 }
-        }
-        if ($2 != "port-fifo" && $11 + 0 < 0.9) { print "FAIL: unfair victims under " $2 ": " $0; exit 1 }
-        if ($6 + 0 <= 0) { print "FAIL: zero victim throughput: " $0; exit 1 }
-    }
-    END {
-        if (rows == 0) { print "FAIL: empty netqos-quick.csv"; exit 1 }
-        if (!fifo_incast) { print "FAIL: netqos sweep missing the port-fifo incast cell"; exit 1 }
-    }' results/netqos-quick.csv
-rm -f results/netqos-quick.csv
 
 echo "==> harness micro-benchmark (results/bench.json vs committed baseline)"
 # Compare against the committed baseline; a sweep whose events/sec drops

@@ -5,19 +5,17 @@
 //! nfsperf figures [--quick] [--out DIR] [--jobs N]
 //! nfsperf table1
 //! nfsperf concurrency
-//! nfsperf transport [--quick] [--jobs N]
-//! nfsperf fleet [--quick] [--out FILE] [--jobs N]
-//! nfsperf megafleet [--quick] [--counts LIST] [--out FILE] [--jobs N]
-//! nfsperf qos [--quick] [--out FILE] [--jobs N]
-//! nfsperf netqos [--quick] [--port-sched P] [--out FILE] [--jobs N]
-//! nfsperf cawl [--quick] [--out FILE] [--jobs N]
+//! nfsperf <sweep> [--quick] [--out FILE] [--jobs N]
+//!     sweep: transport | fleet | megafleet [--counts LIST] | qos
+//!            | netqos [--port-sched P] | cawl
 //! nfsperf bench [--jobs N] [--out FILE] [--against OLD.json] [--tolerance T]
 //! nfsperf help
 //! ```
 //!
-//! Sweep commands fan their independent cells across `--jobs` worker
-//! threads (default: `NFSPERF_JOBS`, else the machine's parallelism) via
-//! [`nfsperf_sim::runner`]; output is bit-identical at any jobs count.
+//! Every sweep command is one [`Sweep`] driven by `cmd_sweep`: its cells
+//! fan out across `--jobs` worker threads (default: `NFSPERF_JOBS`, else
+//! the machine's parallelism) via [`nfsperf_sim::runner`], and output is
+//! bit-identical at any jobs count.
 //!
 //! Argument parsing is deliberately hand rolled: the workspace has no
 //! CLI-framework dependency and the grammar is tiny.
@@ -26,12 +24,9 @@ use std::process::ExitCode;
 
 use nfsperf_client::ClientTuning;
 use nfsperf_experiments::{
-    cawl_cells, cawl_sweep, figures, fleet_cells, fleet_sweep, megafleet_cells, megafleet_sweep,
-    netqos_sweep, qos_run_cells, qos_sweep, run_bonnie, transport_cells, transport_sweep, NetSched,
-    Scenario, ServerKind, TrafficMix, CAWL_QUICK_RAM_SIZES, CAWL_QUICK_SERVERS, CAWL_RAM_SIZES,
-    CAWL_SERVERS, FLEET_CLIENT_COUNTS, LOSS_RATES, MEGAFLEET_COUNTS, MEGAFLEET_QUICK_COUNTS,
+    figures, run_bonnie, sweep, CawlGrid, CawlSweep, FleetSweep, MegaGrid, MegaSweep, NetQosGrid,
+    NetQosSweep, QosSweep, Scenario, ServerKind, Sweep, TrafficMix, TransportSweep,
 };
-use nfsperf_server::SchedPolicy;
 use nfsperf_sim::{runner, BenchReport, SimDuration, SweepStats};
 use nfsperf_sunrpc::Transport;
 
@@ -45,12 +40,9 @@ USAGE:
     nfsperf figures [--quick] [--out DIR] [--jobs N]
     nfsperf table1
     nfsperf concurrency
-    nfsperf transport [--quick] [--jobs N]
-    nfsperf fleet [--quick] [--out FILE] [--jobs N]
-    nfsperf megafleet [--quick] [--counts LIST] [--out FILE] [--jobs N]
-    nfsperf qos [--quick] [--out FILE] [--jobs N]
-    nfsperf netqos [--quick] [--port-sched P] [--out FILE] [--jobs N]
-    nfsperf cawl [--quick] [--out FILE] [--jobs N]
+    nfsperf <sweep> [--quick] [--out FILE] [--jobs N]
+        sweep: transport | fleet | megafleet [--counts LIST] | qos
+               | netqos [--port-sched P] | cawl
     nfsperf bench [--jobs N] [--out FILE] [--against OLD.json]
                   [--tolerance T]
     nfsperf help
@@ -69,41 +61,39 @@ OPTIONS (run):
     --loss      per-fragment datagram loss probability             [0]
     --latencies write per-call latencies as CSV to FILE
 
-COMMANDS:
+SWEEPS (each writes its CSV to --out [results/<sweep>.csv]):
     transport   UDP vs UDP+jumbo vs TCP matrix across loss rates
                 (8 MB per cell; --quick for 2 MB)
     fleet       client scaling sweep, 1-32 clients x {filer, knfsd} x
                 {udp, tcp} through one shared uplink (4 MB per client;
-                --quick for 1-4 clients at 1 MB); writes CSV to --out
-                [results/fleet.csv]
+                --quick for 1-4 clients at 1 MB)
     megafleet   flyweight fleet sweep: 1k-1M behavioral clients (plus 4
                 embedded faithful clients) through a two-tier switch
                 fabric into {filer, knfsd}; per-cell calibration against
                 the target server; reports aggregate MB/s, per-tier Jain,
                 p99s, and resident bytes per flyweight. --quick stops at
-                100k clients; --counts takes a comma list (e.g.
-                1000,100000). Writes CSV to --out [results/megafleet.csv]
+                100k clients; --counts takes a strictly increasing
+                comma list (e.g. 1000,100000)
     qos         unfair-workload sweep: one hog (gigabit NIC, 64 RPC
                 slots, 32 KB writes, periodic fsync) vs 7 victims,
                 {filer, knfsd} x {fifo, drr, classed-drr} (--quick for
-                filer only with 4 victims); writes CSV to --out
-                [results/qos.csv]
+                filer only with 4 victims)
     netqos      network-QoS sweep: open-loop heavy-tailed aggressors
                 (hog / incast / sync-storm mixes) vs 7 NFS victims at the
                 shared switch uplink, {filer, knfsd} x {port-fifo,
                 port-drr, port-wrr} (--quick for knfsd only at 1 MB per
-                victim); --port-sched restricts to one policy; writes CSV
-                to --out [results/netqos.csv]
+                victim); --port-sched restricts to one policy
     cawl        cache-aware memory-model regime sweep: client RAM
                 {64 MB, 256 MB, 1 GB} x server {filer, knfsd, fast} x
                 file size {0.5x, 1x, 2x, 4x RAM} under the cawl tuning;
                 marks each cell cache-fit or writeback-bound (--quick
-                for 16 MB RAM x {filer, fast}); writes CSV to --out
-                [results/cawl.csv]
-    bench       micro-benchmark of the sweep harness itself: runs the
-                quick fleet/qos/transport/cawl/megafleet sweeps serially and
-                again at
-                --jobs, reporting wall-clock and simulated events/sec;
+                for 16 MB RAM x {filer, fast})
+
+COMMANDS:
+    bench       micro-benchmark of the sweep harness itself: runs small
+                fleet/qos/netqos/transport/cawl/megafleet work-lists
+                serially and again at --jobs, reporting wall-clock and
+                simulated events/sec;
                 writes JSON to --out [results/bench.json]. With
                 --against OLD.json, diffs events/sec and speedup per
                 sweep against that committed baseline and exits nonzero
@@ -150,9 +140,12 @@ impl Args {
         }
     }
 
+    /// The value after `name`, if `name` is present. A value that looks
+    /// like a flag is refused rather than swallowed: `--out --quick`
+    /// must not write to a file named `--quick`.
     fn value(&mut self, name: &str) -> Result<Option<String>, String> {
         if let Some(i) = self.items.iter().position(|a| a == name) {
-            if i + 1 >= self.items.len() {
+            if i + 1 >= self.items.len() || self.items[i + 1].starts_with("--") {
                 return Err(format!("{name} needs a value"));
             }
             let v = self.items.remove(i + 1);
@@ -345,193 +338,40 @@ fn cmd_concurrency(args: Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_transport(mut args: Args) -> Result<(), String> {
-    let quick = args.flag("--quick");
-    let jobs = args.jobs()?;
-    args.finish()?;
-    let size: u64 = if quick { 2 << 20 } else { 8 << 20 };
-    println!(
-        "transport x loss sweep: {} MB sequential write, full patch, filer server",
-        size >> 20
-    );
-    let sweep = transport_sweep(size, LOSS_RATES, jobs);
-    println!("{}", sweep.render());
-    Ok(())
-}
-
-fn cmd_fleet(mut args: Args) -> Result<(), String> {
-    let quick = args.flag("--quick");
+/// Every sweep command: `--quick` picks the quick grid, the sweep's own
+/// options adjust it, then run, print the table and write the CSV.
+fn cmd_sweep<S: Sweep>(mut args: Args) -> Result<(), String> {
+    let mut config = if args.flag("--quick") {
+        S::quick()
+    } else {
+        S::full()
+    };
     let out = args
         .value("--out")?
-        .unwrap_or_else(|| "results/fleet.csv".into());
-    let jobs = args.jobs()?;
-    args.finish()?;
-    let counts: &[usize] = if quick { &[1, 2, 4] } else { FLEET_CLIENT_COUNTS };
-    let bytes_per_client: u64 = if quick { 1 << 20 } else { 4 << 20 };
-    println!(
-        "fleet scaling sweep: {} MB per client, shared uplink at the server NIC rate",
-        bytes_per_client >> 20
-    );
-    let sweep = fleet_sweep(
-        counts,
-        &[ServerKind::Filer, ServerKind::Knfsd],
-        &[Transport::Udp, Transport::Tcp],
-        bytes_per_client,
-        jobs,
-    );
-    println!("{}", sweep.render());
-    sweep
-        .write_csv(std::path::Path::new(&out))
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_megafleet(mut args: Args) -> Result<(), String> {
-    let quick = args.flag("--quick");
-    let out = args
-        .value("--out")?
-        .unwrap_or_else(|| "results/megafleet.csv".into());
-    let counts: Vec<u32> = match args.value("--counts")? {
-        Some(list) => {
-            let parsed: Result<Vec<u32>, _> = list.split(',').map(|s| s.trim().parse()).collect();
-            let parsed = parsed.map_err(|_| format!("bad --counts list: {list}"))?;
-            if parsed.is_empty() || parsed.contains(&0) {
-                return Err(format!("bad --counts list: {list}"));
-            }
-            parsed
+        .unwrap_or_else(|| format!("results/{}.csv", S::NAME));
+    for name in S::OPTIONS {
+        if let Some(v) = args.value(name)? {
+            S::set_option(&mut config, name, &v)?;
         }
-        None if quick => MEGAFLEET_QUICK_COUNTS.to_vec(),
-        None => MEGAFLEET_COUNTS.to_vec(),
-    };
+    }
     let jobs = args.jobs()?;
     args.finish()?;
-    println!(
-        "megafleet sweep: {{{}}} flyweights + 4 faithful through a two-tier fabric",
-        counts
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let sweep = megafleet_sweep(
-        &counts,
-        &[ServerKind::Filer, ServerKind::Knfsd],
-        quick,
-        jobs,
-    );
-    println!("{}", sweep.render());
-    sweep
-        .write_csv(std::path::Path::new(&out))
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_qos(mut args: Args) -> Result<(), String> {
-    let quick = args.flag("--quick");
-    let out = args
-        .value("--out")?
-        .unwrap_or_else(|| "results/qos.csv".into());
-    let jobs = args.jobs()?;
-    args.finish()?;
-    let scheds = [
-        SchedPolicy::Fifo,
-        SchedPolicy::drr(),
-        SchedPolicy::classed_drr(),
-    ];
-    let (servers, victims, bytes): (&[ServerKind], usize, u64) = if quick {
-        (&[ServerKind::Filer], 4, 1 << 20)
-    } else {
-        (&[ServerKind::Filer, ServerKind::Knfsd], 7, 2 << 20)
-    };
-    println!(
-        "qos sweep: 1 hog (gigabit NIC, 64 slots, 32 KB writes, periodic fsync) \
-         vs {} victims, {} MB per victim",
-        victims,
-        bytes >> 20
-    );
-    let sweep = qos_sweep(servers, &scheds, victims, bytes, jobs);
-    println!("{}", sweep.render());
-    sweep
-        .write_csv(std::path::Path::new(&out))
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_netqos(mut args: Args) -> Result<(), String> {
-    let quick = args.flag("--quick");
-    let out = args
-        .value("--out")?
-        .unwrap_or_else(|| "results/netqos.csv".into());
-    let port_sched = args.value("--port-sched")?;
-    let jobs = args.jobs()?;
-    args.finish()?;
-    let scheds: Vec<NetSched> = match port_sched.as_deref() {
-        None => NetSched::ALL.to_vec(),
-        Some(s) => vec![NetSched::parse(s).ok_or_else(|| {
-            format!("unknown --port-sched {s} (port-fifo | port-drr | port-wrr)")
-        })?],
-    };
-    let (servers, victims, bytes): (&[ServerKind], usize, u64) = if quick {
-        (&[ServerKind::Knfsd], 7, 1 << 20)
-    } else {
-        (&[ServerKind::Filer, ServerKind::Knfsd], 7, 2 << 20)
-    };
-    println!(
-        "netqos sweep: open-loop {{hog, incast, storm}} aggressors vs {} victims, \
-         {} MB per victim",
-        victims,
-        bytes >> 20
-    );
-    let sweep = netqos_sweep(servers, &scheds, &TrafficMix::ALL, victims, bytes, jobs);
-    println!("{}", sweep.render());
-    sweep
-        .write_csv(std::path::Path::new(&out))
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_cawl(mut args: Args) -> Result<(), String> {
-    let quick = args.flag("--quick");
-    let out = args
-        .value("--out")?
-        .unwrap_or_else(|| "results/cawl.csv".into());
-    let jobs = args.jobs()?;
-    args.finish()?;
-    let (rams, servers): (&[u64], &[ServerKind]) = if quick {
-        (&CAWL_QUICK_RAM_SIZES, &CAWL_QUICK_SERVERS)
-    } else {
-        (&CAWL_RAM_SIZES, &CAWL_SERVERS)
-    };
-    println!(
-        "cawl sweep: RAM {:?} MB x {} server(s) x file {{0.5, 1, 2, 4}}x RAM, cawl tuning",
-        rams.iter().map(|r| r >> 20).collect::<Vec<_>>(),
-        servers.len()
-    );
-    let sweep = cawl_sweep(rams, servers, jobs);
-    println!("{}", sweep.render());
-    sweep
-        .write_csv(std::path::Path::new(&out))
+    println!("{}", S::title(&config));
+    let rows = sweep::run::<S>(&config, jobs);
+    println!("{}", S::render(&rows));
+    sweep::write_csv::<S>(&rows, std::path::Path::new(&out))
         .map_err(|e| format!("write {out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
 }
 
 /// Runs one sweep's work-list under the profiler and appends its row.
-fn bench_sweep<T: Send>(
-    report: &mut BenchReport,
-    name: &str,
-    jobs: usize,
-    cells: Vec<nfsperf_sim::Cell<T>>,
-) {
-    let n = cells.len();
-    eprintln!("bench: {name} x{n} cells, {jobs} worker(s) ...");
+fn bench_sweep<S: Sweep>(report: &mut BenchReport, jobs: usize, config: &S::Config) {
+    let cells = S::cells(config);
+    eprintln!("bench: {} x{} cells, {jobs} worker(s) ...", S::NAME, cells.len());
     let start = std::time::Instant::now();
     let (_, stats) = nfsperf_sim::run_cells_profiled(jobs, cells);
-    report.push(SweepStats::from_cells(name, jobs, start.elapsed(), &stats));
+    report.push(SweepStats::from_cells(S::NAME, jobs, start.elapsed(), &stats));
 }
 
 fn cmd_bench(mut args: Args) -> Result<(), String> {
@@ -545,11 +385,6 @@ fn cmd_bench(mut args: Args) -> Result<(), String> {
     }
     let jobs = args.jobs()?;
     args.finish()?;
-    let scheds = [
-        SchedPolicy::Fifo,
-        SchedPolicy::drr(),
-        SchedPolicy::classed_drr(),
-    ];
     let mut report = BenchReport::new();
     report.host_parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -558,49 +393,31 @@ fn cmd_bench(mut args: Args) -> Result<(), String> {
     if jobs > 1 {
         job_counts.push(jobs);
     }
+    // Small work-lists, fixed so bench.json stays comparable with its
+    // committed baseline: netqos at 2 victims and 512 KB under the hog
+    // mix only, cawl at seed 1, megafleet on the filer at 1k and 10k.
+    let netqos = NetQosGrid {
+        mixes: vec![TrafficMix::Hog],
+        victims: 2,
+        bytes_per_victim: 512 << 10,
+        ..NetQosSweep::quick()
+    };
+    let cawl = CawlGrid {
+        seed: 1,
+        ..CawlSweep::quick()
+    };
+    let megafleet = MegaGrid {
+        counts: vec![1_000, 10_000],
+        servers: vec![ServerKind::Filer],
+        quick: true,
+    };
     for &j in &job_counts {
-        bench_sweep(
-            &mut report,
-            "fleet",
-            j,
-            fleet_cells(
-                &[1, 2, 4],
-                &[ServerKind::Filer, ServerKind::Knfsd],
-                &[Transport::Udp, Transport::Tcp],
-                1 << 20,
-            ),
-        );
-        bench_sweep(
-            &mut report,
-            "qos",
-            j,
-            qos_run_cells(&[ServerKind::Filer], &scheds, 4, 1 << 20),
-        );
-        bench_sweep(
-            &mut report,
-            "netqos",
-            j,
-            nfsperf_experiments::netqos::netqos_run_cells(
-                &[ServerKind::Knfsd],
-                &NetSched::ALL,
-                &[TrafficMix::Hog],
-                2,
-                512 << 10,
-            ),
-        );
-        bench_sweep(&mut report, "transport", j, transport_cells(2 << 20, LOSS_RATES));
-        bench_sweep(
-            &mut report,
-            "cawl",
-            j,
-            cawl_cells(&CAWL_QUICK_RAM_SIZES, &CAWL_QUICK_SERVERS, 1),
-        );
-        bench_sweep(
-            &mut report,
-            "megafleet",
-            j,
-            megafleet_cells(&[1_000, 10_000], &[ServerKind::Filer], true),
-        );
+        bench_sweep::<FleetSweep>(&mut report, j, &FleetSweep::quick());
+        bench_sweep::<QosSweep>(&mut report, j, &QosSweep::quick());
+        bench_sweep::<NetQosSweep>(&mut report, j, &netqos);
+        bench_sweep::<TransportSweep>(&mut report, j, &TransportSweep::quick());
+        bench_sweep::<CawlSweep>(&mut report, j, &cawl);
+        bench_sweep::<MegaSweep>(&mut report, j, &megafleet);
     }
     print!("{}", report.render());
     if jobs > 1 {
@@ -650,12 +467,12 @@ fn main() -> ExitCode {
         "figures" => cmd_figures(args),
         "table1" => cmd_table1(args),
         "concurrency" => cmd_concurrency(args),
-        "transport" => cmd_transport(args),
-        "fleet" => cmd_fleet(args),
-        "megafleet" => cmd_megafleet(args),
-        "qos" => cmd_qos(args),
-        "netqos" => cmd_netqos(args),
-        "cawl" => cmd_cawl(args),
+        "transport" => cmd_sweep::<TransportSweep>(args),
+        "fleet" => cmd_sweep::<FleetSweep>(args),
+        "megafleet" => cmd_sweep::<MegaSweep>(args),
+        "qos" => cmd_sweep::<QosSweep>(args),
+        "netqos" => cmd_sweep::<NetQosSweep>(args),
+        "cawl" => cmd_sweep::<CawlSweep>(args),
         "bench" => cmd_bench(args),
         "help" | "--help" | "-h" => {
             print!("{}", usage());

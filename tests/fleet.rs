@@ -2,20 +2,37 @@
 //! grows until the shared ceiling saturates, the plateau divides fairly,
 //! and the whole pipeline is deterministic down to the CSV bytes.
 
-use nfsperf_experiments::{fleet_sweep, run_fleet, FleetConfig, ServerKind};
+use nfsperf_experiments::fleet::{knee, series};
+use nfsperf_experiments::{
+    run, run_fleet, to_csv, write_csv, FleetCell, FleetConfig, FleetGrid, FleetSweep, ServerKind,
+};
 use nfsperf_sunrpc::Transport;
 
 const MB: u64 = 1 << 20;
+
+fn fleet_sweep(
+    counts: &[usize],
+    servers: &[ServerKind],
+    transports: &[Transport],
+    jobs: usize,
+) -> Vec<FleetCell> {
+    let grid = FleetGrid {
+        counts: counts.to_vec(),
+        servers: servers.to_vec(),
+        transports: transports.to_vec(),
+        bytes_per_client: MB,
+    };
+    run::<FleetSweep>(&grid, jobs)
+}
 
 #[test]
 fn filer_aggregate_grows_to_knee_then_ceiling_bounds() {
     // 1 MB per client keeps every run shorter than the filer's first
     // checkpoint, so the curve shows the pure fan-in shape.
     let counts = [1usize, 2, 4, 8, 16];
-    let sweep = fleet_sweep(&counts, &[ServerKind::Filer], &[Transport::Udp], MB, 1);
-    let curve = sweep.series(ServerKind::Filer, Transport::Udp);
-    let knee = sweep
-        .knee(ServerKind::Filer, Transport::Udp)
+    let rows = fleet_sweep(&counts, &[ServerKind::Filer], &[Transport::Udp], 1);
+    let curve = series(&rows, ServerKind::Filer, Transport::Udp);
+    let knee = knee(&rows, ServerKind::Filer, Transport::Udp)
         .expect("fast-ethernet clients must saturate the filer within the sweep");
     assert!(
         knee > 1,
@@ -49,7 +66,7 @@ fn filer_aggregate_grows_to_knee_then_ceiling_bounds() {
     }
 
     // The plateau divides fairly among identical clients.
-    for cell in sweep.rows.iter().filter(|r| r.clients >= knee) {
+    for cell in rows.iter().filter(|r| r.clients >= knee) {
         assert!(
             cell.jain >= 0.9,
             "{} clients at the plateau should share fairly, jain = {:.3}",
@@ -65,8 +82,8 @@ fn knfsd_fleet_holds_its_ceiling() {
     // the regression this guards: concurrent COMMITs re-flushing the
     // shared dirty pool made aggregate throughput *fall* as clients were
     // added.
-    let sweep = fleet_sweep(&[1, 2, 4, 8], &[ServerKind::Knfsd], &[Transport::Udp], MB, 1);
-    let curve = sweep.series(ServerKind::Knfsd, Transport::Udp);
+    let rows = fleet_sweep(&[1, 2, 4, 8], &[ServerKind::Knfsd], &[Transport::Udp], 1);
+    let curve = series(&rows, ServerKind::Knfsd, Transport::Udp);
     let peak = curve.iter().map(|(_, a)| *a).fold(0.0, f64::max);
     for (clients, agg) in &curve {
         assert!(
@@ -78,7 +95,7 @@ fn knfsd_fleet_holds_its_ceiling() {
         curve.last().unwrap().1 > curve[0].1,
         "a second client should still add throughput over one 100bT client"
     );
-    for cell in &sweep.rows {
+    for cell in &rows {
         assert!(cell.jain >= 0.9, "jain = {:.3}", cell.jain);
     }
 }
@@ -105,23 +122,22 @@ fn fleet_csv_is_bit_identical_for_the_same_seed() {
             &[1, 2],
             &[ServerKind::Filer, ServerKind::Knfsd],
             &[Transport::Udp, Transport::Tcp],
-            MB,
             jobs,
         )
     };
     let first = run(1);
     let second = run(4);
     assert_eq!(
-        first.to_csv(),
-        second.to_csv(),
+        to_csv::<FleetSweep>(&first),
+        to_csv::<FleetSweep>(&second),
         "same seed must reproduce fleet.csv byte for byte at any --jobs"
     );
 
     let dir = std::env::temp_dir().join("nfsperf-fleet-determinism");
     let pa = dir.join("a.csv");
     let pb = dir.join("b.csv");
-    first.write_csv(&pa).unwrap();
-    second.write_csv(&pb).unwrap();
+    write_csv::<FleetSweep>(&first, &pa).unwrap();
+    write_csv::<FleetSweep>(&second, &pb).unwrap();
     let (ba, bb) = (std::fs::read(&pa).unwrap(), std::fs::read(&pb).unwrap());
     assert!(!ba.is_empty());
     assert_eq!(ba, bb, "written CSV files must be bit-identical");

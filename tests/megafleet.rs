@@ -4,7 +4,8 @@
 //! deterministic down to the CSV bytes.
 
 use nfsperf_experiments::{
-    megafleet_sweep, run_fleet, run_megafleet, FleetConfig, MegaConfig, ServerKind,
+    run, run_fleet, run_megafleet, to_csv, write_csv, FleetConfig, MegaConfig, MegaGrid, MegaSweep,
+    ServerKind, Sweep,
 };
 use nfsperf_fleet::{calibrate, BehaviorModel, CalibrationConfig, GAP_QUANTILES};
 use nfsperf_sim::SimDuration;
@@ -135,29 +136,29 @@ fn megafleet_csv_is_bit_identical_across_jobs_and_runs() {
     // jobs = 1 vs jobs = 4, plus a repeat: the parallel runner must
     // reproduce the serial CSV byte for byte, and the same input must
     // reproduce itself.
-    let run = |jobs| {
-        megafleet_sweep(
-            &[16, 64],
-            &[ServerKind::Filer, ServerKind::Knfsd],
-            true,
-            jobs,
-        )
+    let grid = MegaGrid {
+        counts: vec![16, 64],
+        ..MegaSweep::quick()
     };
-    let first = run(1);
-    let second = run(4);
-    let third = run(4);
+    let first = run::<MegaSweep>(&grid, 1);
+    let second = run::<MegaSweep>(&grid, 4);
+    let third = run::<MegaSweep>(&grid, 4);
     assert_eq!(
-        first.to_csv(),
-        second.to_csv(),
+        to_csv::<MegaSweep>(&first),
+        to_csv::<MegaSweep>(&second),
         "same input must reproduce megafleet.csv byte for byte at any --jobs"
     );
-    assert_eq!(second.to_csv(), third.to_csv(), "repeated runs must agree");
+    assert_eq!(
+        to_csv::<MegaSweep>(&second),
+        to_csv::<MegaSweep>(&third),
+        "repeated runs must agree"
+    );
 
     let dir = std::env::temp_dir().join("nfsperf-megafleet-determinism");
     let pa = dir.join("a.csv");
     let pb = dir.join("b.csv");
-    first.write_csv(&pa).unwrap();
-    second.write_csv(&pb).unwrap();
+    write_csv::<MegaSweep>(&first, &pa).unwrap();
+    write_csv::<MegaSweep>(&second, &pb).unwrap();
     let (ba, bb) = (std::fs::read(&pa).unwrap(), std::fs::read(&pb).unwrap());
     assert!(!ba.is_empty());
     assert_eq!(ba, bb, "written CSV files must be bit-identical");

@@ -532,22 +532,46 @@ fn back_to_back_records_survive_mixed_fragmentation() {
     check(
         "back_to_back_records_survive_mixed_fragmentation",
         |g| {
-            g.vec(1, 8, |g| {
+            let records = g.vec(1, 32, |g| {
                 let msg = g.bytes(0, 512);
                 let frag = g.usize_in(1, 96);
                 (msg, frag)
-            })
+            });
+            // Stream chunk sizes: small ones split records, large ones
+            // carry many records per push.
+            let chunks = g.vec(1, 8, |g| g.usize_in(1, 4096));
+            (records, chunks)
         },
-        |records| {
+        |(records, chunks)| {
             prop_assume!(records.iter().all(|(_, f)| *f >= 1));
+            prop_assume!(chunks.iter().all(|&c| c >= 1));
             let mut wire = Vec::new();
+            let mut wire_lens = Vec::new();
             for (msg, frag) in records {
-                wire.extend(encode_record_frags(msg, *frag));
+                let rec = encode_record_frags(msg, *frag);
+                wire_lens.push(rec.len());
+                wire.extend(rec);
             }
             let mut rd = RecordReader::new();
-            rd.push(&wire);
-            for (msg, _) in records {
-                prop_assert_eq!(&rd.next_record().expect("record"), msg);
+            let mut out = Vec::new();
+            let mut off = 0;
+            let mut chunk = chunks.iter().cycle();
+            while off < wire.len() {
+                let take = (*chunk.next().unwrap()).min(wire.len() - off);
+                rd.push(&wire[off..off + take]);
+                off += take;
+                while let Some(r) = rd.next_record() {
+                    out.push(r);
+                }
+                // Every record wholly received has come out, and only the
+                // next one's bytes stay buffered.
+                let consumed: usize = wire_lens[..out.len()].iter().sum();
+                prop_assert!(out.len() == records.len() || off < consumed + wire_lens[out.len()]);
+                prop_assert!(rd.buffered() <= off - consumed);
+            }
+            prop_assert_eq!(out.len(), records.len());
+            for ((msg, _), got) in records.iter().zip(&out) {
+                prop_assert_eq!(got, msg);
             }
             prop_assert_eq!(rd.next_record(), None);
             prop_assert_eq!(rd.buffered(), 0);

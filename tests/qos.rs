@@ -8,22 +8,18 @@
 //! fair share back and their p99 stays within 2x of the hog-free
 //! baseline.
 
-use nfsperf_experiments::{qos_sweep, run_qos, QosConfig, ServerKind};
+use nfsperf_experiments::{
+    run, run_qos, to_csv, QosCell, QosConfig, QosGrid, QosSweep, ServerKind, Sweep,
+};
 use nfsperf_server::SchedPolicy;
 
 /// The published cell: netapp-filer, 7 victims, 2 MB each.
-fn sweep_cells() -> (
-    nfsperf_experiments::QosCell,
-    nfsperf_experiments::QosCell,
-    nfsperf_experiments::QosCell,
-) {
-    let scheds = [
-        SchedPolicy::Fifo,
-        SchedPolicy::drr(),
-        SchedPolicy::classed_drr(),
-    ];
-    let sweep = qos_sweep(&[ServerKind::Filer], &scheds, 7, 2 << 20, 1);
-    let mut rows = sweep.rows.into_iter();
+fn sweep_cells() -> (QosCell, QosCell, QosCell) {
+    let grid = QosGrid {
+        servers: vec![ServerKind::Filer],
+        ..QosSweep::full()
+    };
+    let mut rows = run::<QosSweep>(&grid, 1).into_iter();
     let fifo = rows.next().expect("fifo row");
     let drr = rows.next().expect("drr row");
     let classed = rows.next().expect("classed-drr row");
@@ -110,8 +106,10 @@ fn hog_bytes_are_accounted_at_the_server() {
 #[test]
 fn qos_sweep_is_bit_deterministic() {
     // Serial vs parallel: the CSV must not depend on --jobs.
-    let scheds = [SchedPolicy::Fifo, SchedPolicy::classed_drr()];
-    let a = qos_sweep(&[ServerKind::Filer], &scheds, 4, 1 << 20, 1);
-    let b = qos_sweep(&[ServerKind::Filer], &scheds, 4, 1 << 20, 4);
-    assert_eq!(a.to_csv(), b.to_csv(), "qos CSV must be bit-identical");
+    let grid = QosGrid {
+        scheds: vec![SchedPolicy::Fifo, SchedPolicy::classed_drr()],
+        ..QosSweep::quick()
+    };
+    let csv = |jobs| to_csv::<QosSweep>(&run::<QosSweep>(&grid, jobs));
+    assert_eq!(csv(1), csv(4), "qos CSV must be bit-identical");
 }

@@ -3,36 +3,35 @@
 //! the cells run serially or fanned across workers, because cells are
 //! isolated `Sim` worlds and results are collected in work-list order.
 
-use nfsperf_experiments::{fleet_sweep, qos_sweep, ServerKind};
+use nfsperf_experiments::{
+    run, to_csv, FleetGrid, FleetSweep, QosGrid, QosSweep, ServerKind, Sweep,
+};
 use nfsperf_server::SchedPolicy;
 use nfsperf_sim::proptest::{check, CaseOutcome};
 use nfsperf_sim::{prop_assert_eq, run_cells, Cell, Sim, SimDuration};
-use nfsperf_sunrpc::Transport;
 
 #[test]
 fn fleet_quick_csv_identical_at_jobs_1_and_4() {
-    let run = |jobs| {
-        fleet_sweep(
-            &[1, 2, 4],
-            &[ServerKind::Filer],
-            &[Transport::Udp, Transport::Tcp],
-            1 << 20,
-            jobs,
-        )
-        .to_csv()
+    let grid = FleetGrid {
+        servers: vec![ServerKind::Filer],
+        ..FleetSweep::quick()
     };
-    let serial = run(1);
+    let csv = |jobs| to_csv::<FleetSweep>(&run::<FleetSweep>(&grid, jobs));
+    let serial = csv(1);
     assert!(serial.lines().count() > 1, "sweep produced rows");
-    assert_eq!(serial, run(4), "fleet CSV must not depend on --jobs");
+    assert_eq!(serial, csv(4), "fleet CSV must not depend on --jobs");
 }
 
 #[test]
 fn qos_quick_csv_identical_at_jobs_1_and_4() {
-    let scheds = [SchedPolicy::Fifo, SchedPolicy::classed_drr()];
-    let run = |jobs| qos_sweep(&[ServerKind::Filer], &scheds, 4, 1 << 20, jobs).to_csv();
-    let serial = run(1);
+    let grid = QosGrid {
+        scheds: vec![SchedPolicy::Fifo, SchedPolicy::classed_drr()],
+        ..QosSweep::quick()
+    };
+    let csv = |jobs| to_csv::<QosSweep>(&run::<QosSweep>(&grid, jobs));
+    let serial = csv(1);
     assert!(serial.lines().count() > 1, "sweep produced rows");
-    assert_eq!(serial, run(4), "qos CSV must not depend on --jobs");
+    assert_eq!(serial, csv(4), "qos CSV must not depend on --jobs");
 }
 
 /// One synthetic sweep cell: an isolated `Sim` world whose result is a

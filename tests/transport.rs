@@ -8,7 +8,7 @@
 //! RTT via duplicate ACKs.
 
 use nfsperf_client::ClientTuning;
-use nfsperf_experiments::{run_bonnie, transport_sweep, Scenario, ServerKind};
+use nfsperf_experiments::{run, run_bonnie, Scenario, ServerKind, TransportGrid, TransportSweep};
 use nfsperf_sunrpc::Transport;
 
 const FILE_SIZE: u64 = 4 << 20;
@@ -71,10 +71,14 @@ fn tcp_beats_udp_at_five_percent_loss() {
 #[test]
 fn tcp_loss_sweep_is_bit_identical_across_runs() {
     // Serial vs parallel: rows must not depend on --jobs either.
-    let a = transport_sweep(1 << 20, &[0.01, 0.05], 1);
-    let b = transport_sweep(1 << 20, &[0.01, 0.05], 4);
-    assert_eq!(a.rows.len(), b.rows.len());
-    for (ra, rb) in a.rows.iter().zip(&b.rows) {
+    let grid = TransportGrid {
+        file_size: 1 << 20,
+        loss_rates: vec![0.01, 0.05],
+    };
+    let a = run::<TransportSweep>(&grid, 1);
+    let b = run::<TransportSweep>(&grid, 4);
+    assert_eq!(a.len(), b.len());
+    for (ra, rb) in a.iter().zip(&b) {
         assert_eq!(ra.label, rb.label);
         assert_eq!(ra.loss.to_bits(), rb.loss.to_bits());
         assert_eq!(
